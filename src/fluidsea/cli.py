@@ -6,12 +6,15 @@ plus a SHA-256 manifest into the output directory:
     fluidsea simulate <config>     time-domain run, trace.csv
     fluidsea sysid <config>        chirp identification pipeline
     fluidsea impedance <config>    endpoint impedance sweep
+    fluidsea workloop <config>     quasi-static backdrive work loops
     fluidsea zwidth <config>       impedance range against the stiff PD hold
     fluidsea passivity <config>    observer passivity bounds and report
     fluidsea preset <name>         run a built-in figure pipeline
     fluidsea presets               list built-in presets
 
-Global overrides: --out, --dt, --seed, --lambda (observer cutoff, rad/s).
+There is one config subcommand per ``[analysis] type``, and the config's
+type must match it. Global overrides: --out, --dt, --seed, --lambda
+(observer cutoff, rad/s).
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 """
 
@@ -22,6 +25,7 @@ import sys
 from dataclasses import replace
 
 from .experiments import (
+    _RUNNERS,
     ConfigError,
     _override_lambda,
     parse_config_file,
@@ -32,8 +36,6 @@ from .experiments import (
 from .impedance import DahlFitError, WorkLoopError
 from .plant import SimulationDivergedError
 from .sysid import FitError
-
-_ANALYSIS_COMMANDS = ("simulate", "sysid", "impedance", "zwidth", "passivity")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="observer cutoff override [rad/s]",
         )
 
-    for name in _ANALYSIS_COMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} analysis from a config file")
         p.add_argument("config", help="experiment config file (INI form)")
         add_common(p)

@@ -4,7 +4,9 @@ A config file is sectioned key=value text (INI form) with sections
 ``[plant]``, ``[controller]``, ``[excitation]``, ``[analysis]`` and
 ``[run]``; all numbers are SI units in the motor rotation frame. Missing
 sections fall back to the identified gripper plant, no controller, no
-excitation. Unknown keys are rejected so typos fail loudly.
+excitation. One table per section (see "Config schema") drives both
+parsing and serialization. Unknown keys, and keys the chosen controller or
+excitation type does not take, are rejected so typos fail loudly.
 
 Every run writes its artifacts atomically into the output directory and
 finishes with ``manifest.txt`` listing each file with its SHA-256 content
@@ -18,7 +20,8 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +80,10 @@ class AnalysisSpec:
     backdrive_amplitude: float = 0.5
     backdrive_cycles: int = 4
 
+    def __post_init__(self):
+        if self.grid_points < 1 or self.grid_min <= 0 or self.grid_max <= self.grid_min:
+            raise ValueError("grid requires 0 < grid_min < grid_max, points >= 1")
+
     def grid(self) -> FrequencyGrid:
         return FrequencyGrid.log_spaced(self.grid_min, self.grid_max, self.grid_points)
 
@@ -93,304 +100,6 @@ class ExperimentConfig:
     noise_std: float = 0.0
     allow_nyquist: bool = True
     output_dir: str = "out"
-
-
-_PLANT_KEYS = ("m", "b", "k", "m_e", "b_e", "k_e", "b_s", "k_s", "F_c", "sigma", "n_dahl")
-_CONTROLLER_KEYS = (
-    "type", "K_f", "source", "lambda", "lambda_hz", "m_n", "b_n", "k_n",
-    "K_p", "K_d", "x_target", "delay_samples",
-    "ff_b_e", "ff_k_e", "ff_b_s", "ff_k_s", "ff_dahl", "ff_F_c", "ff_sigma",
-)
-_EXCITATION_KEYS = (
-    "type", "amplitude", "f0", "f1", "duration", "omega", "value", "noise_std",
-)
-_ANALYSIS_KEYS = (
-    "type", "grid_min", "grid_max", "grid_points", "force_amplitude", "method",
-    "include_motor_port", "fit_dahl", "backdrive_omega", "backdrive_amplitude",
-    "backdrive_cycles",
-)
-_RUN_KEYS = ("duration", "dt", "seed", "output_dir", "allow_nyquist")
-
-
-def _check_keys(section: str, items, allowed) -> None:
-    for key in items:
-        if key not in allowed:
-            raise ConfigError(f"[{section}] unknown key {key!r}; allowed: {sorted(allowed)}")
-
-
-def _getfloat(cp, section, key, default=None):
-    try:
-        if cp.has_option(section, key):
-            return cp.getfloat(section, key)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} must be a number: {exc}") from exc
-    if default is None:
-        raise ConfigError(f"[{section}] missing required key {key!r}")
-    return default
-
-
-def _parse_plant(cp) -> PlantParams:
-    if not cp.has_section("plant"):
-        return PlantParams.gripper()
-    _check_keys("plant", cp.options("plant"), _PLANT_KEYS)
-    base = PlantParams.gripper()
-    kwargs = {}
-    for key in _PLANT_KEYS:
-        kwargs[key] = _getfloat(cp, "plant", key, getattr(base, key))
-    try:
-        return PlantParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[plant] {exc}") from exc
-
-
-def _controller_lambda(cp) -> float:
-    has_rad = cp.has_option("controller", "lambda")
-    has_hz = cp.has_option("controller", "lambda_hz")
-    if has_rad and has_hz:
-        raise ConfigError("[controller] give lambda (rad/s) or lambda_hz (Hz), not both")
-    if has_hz:
-        return TWO_PI * _getfloat(cp, "controller", "lambda_hz")
-    return _getfloat(cp, "controller", "lambda", 20.0)
-
-
-def _parse_feedforward(cp, plant: PlantParams) -> FeedforwardConfig:
-    dahl = None
-    want_dahl = cp.getboolean("controller", "ff_dahl", fallback=plant.F_c > 0)
-    if want_dahl:
-        f_c = _getfloat(cp, "controller", "ff_F_c", plant.F_c if plant.F_c > 0 else 0.032)
-        sig = _getfloat(cp, "controller", "ff_sigma", plant.sigma if plant.sigma > 0 else 12.8)
-        dahl = DahlEstimate(F_c=f_c, sigma=sig)
-    return FeedforwardConfig(
-        b_e=_getfloat(cp, "controller", "ff_b_e", plant.b_e),
-        k_e=_getfloat(cp, "controller", "ff_k_e", plant.k_e),
-        b_s=_getfloat(cp, "controller", "ff_b_s", plant.b_s),
-        k_s=_getfloat(cp, "controller", "ff_k_s", plant.k_s),
-        dahl=dahl,
-    )
-
-
-def _parse_controller(cp, plant: PlantParams):
-    if not cp.has_section("controller"):
-        return None
-    _check_keys("controller", cp.options("controller"), _CONTROLLER_KEYS)
-    kind = cp.get("controller", "type", fallback="none").strip().lower()
-    try:
-        if kind == "none":
-            return None
-        if kind in ("proportional", "proportional_ff"):
-            return ProportionalFFConfig(
-                K_f=_getfloat(cp, "controller", "K_f"),
-                source=cp.get("controller", "source", fallback="internal"),
-            )
-        if kind == "dob":
-            return DOBConfig(
-                lam=_controller_lambda(cp),
-                m_n=_getfloat(cp, "controller", "m_n", plant.m),
-                b_n=_getfloat(cp, "controller", "b_n", 0.0),
-                k_n=_getfloat(cp, "controller", "k_n", 0.0),
-            )
-        if kind == "pd":
-            return PDConfig(
-                K_p=_getfloat(cp, "controller", "K_p"),
-                K_d=_getfloat(cp, "controller", "K_d"),
-                x_target=_getfloat(cp, "controller", "x_target", 0.0),
-                delay_samples=cp.getint("controller", "delay_samples", fallback=0),
-            )
-        if kind == "composite":
-            dob = DOBConfig(
-                lam=_controller_lambda(cp),
-                m_n=_getfloat(cp, "controller", "m_n", plant.m),
-                b_n=_getfloat(cp, "controller", "b_n", 0.0),
-                k_n=_getfloat(cp, "controller", "k_n", 0.0),
-            )
-            return CompositeConfig(dob=dob, feedforward=_parse_feedforward(cp, plant))
-    except ValueError as exc:
-        raise ConfigError(f"[controller] {exc}") from exc
-    raise ConfigError(f"[controller] unknown type {kind!r}")
-
-
-def _parse_excitation(cp):
-    if not cp.has_section("excitation"):
-        return None, 0.0
-    _check_keys("excitation", cp.options("excitation"), _EXCITATION_KEYS)
-    noise = _getfloat(cp, "excitation", "noise_std", 0.0)
-    kind = cp.get("excitation", "type", fallback="none").strip().lower()
-    try:
-        if kind == "none":
-            return None, noise
-        if kind == "chirp":
-            return (
-                ChirpSpec(
-                    amplitude=_getfloat(cp, "excitation", "amplitude", 0.3),
-                    f0=_getfloat(cp, "excitation", "f0", 0.01),
-                    f1=_getfloat(cp, "excitation", "f1", 1000.0),
-                    duration=_getfloat(cp, "excitation", "duration", 600.0),
-                ),
-                noise,
-            )
-        if kind == "sine":
-            return (
-                SineSpec(
-                    amplitude=_getfloat(cp, "excitation", "amplitude"),
-                    omega=_getfloat(cp, "excitation", "omega"),
-                ),
-                noise,
-            )
-        if kind == "constant":
-            return ConstantSpec(value=_getfloat(cp, "excitation", "value")), noise
-    except ValueError as exc:
-        raise ConfigError(f"[excitation] {exc}") from exc
-    raise ConfigError(f"[excitation] unknown type {kind!r}")
-
-
-def _parse_analysis(cp) -> AnalysisSpec:
-    if not cp.has_section("analysis"):
-        return AnalysisSpec()
-    _check_keys("analysis", cp.options("analysis"), _ANALYSIS_KEYS)
-    kind = cp.get("analysis", "type", fallback="simulate").strip().lower()
-    kind = {"passivity-report": "passivity"}.get(kind, kind)
-    if kind not in ("simulate", "sysid", "impedance", "workloop", "zwidth", "passivity"):
-        raise ConfigError(f"[analysis] unknown type {kind!r}")
-    spec = AnalysisSpec(
-        kind=kind,
-        grid_min=_getfloat(cp, "analysis", "grid_min", 0.1),
-        grid_max=_getfloat(cp, "analysis", "grid_max", 100.0),
-        grid_points=cp.getint("analysis", "grid_points", fallback=20),
-        force_amplitude=_getfloat(cp, "analysis", "force_amplitude", 0.1),
-        method=cp.get("analysis", "method", fallback="measured").strip().lower(),
-        include_motor_port=cp.getboolean("analysis", "include_motor_port", fallback=False),
-        fit_dahl=cp.getboolean("analysis", "fit_dahl", fallback=False),
-        backdrive_omega=_getfloat(cp, "analysis", "backdrive_omega", 1.0),
-        backdrive_amplitude=_getfloat(cp, "analysis", "backdrive_amplitude", 0.5),
-        backdrive_cycles=cp.getint("analysis", "backdrive_cycles", fallback=4),
-    )
-    if spec.method not in ("measured", "closed_form"):
-        raise ConfigError("[analysis] method must be 'measured' or 'closed_form'")
-    if spec.grid_points < 1 or spec.grid_min <= 0 or spec.grid_max <= spec.grid_min:
-        raise ConfigError("[analysis] grid requires 0 < grid_min < grid_max, points >= 1")
-    return spec
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse INI-form experiment text into a validated ExperimentConfig."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.optionxform = str  # keys are case sensitive (K_p vs k_p)
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax: {exc}") from exc
-    for section in cp.sections():
-        if section not in ("plant", "controller", "excitation", "analysis", "run"):
-            raise ConfigError(f"unknown section [{section}]")
-    plant = _parse_plant(cp)
-    controller = _parse_controller(cp, plant)
-    excitation, noise = _parse_excitation(cp)
-    analysis = _parse_analysis(cp)
-    if cp.has_section("run"):
-        _check_keys("run", cp.options("run"), _RUN_KEYS)
-    duration = _getfloat(cp, "run", "duration", 10.0) if cp.has_section("run") else 10.0
-    dt = _getfloat(cp, "run", "dt", DEFAULT_DT) if cp.has_section("run") else DEFAULT_DT
-    seed = cp.getint("run", "seed", fallback=1) if cp.has_section("run") else 1
-    allow_ny = (
-        cp.getboolean("run", "allow_nyquist", fallback=True)
-        if cp.has_section("run")
-        else True
-    )
-    out = cp.get("run", "output_dir", fallback="out") if cp.has_section("run") else "out"
-    if dt <= 0 or dt > 1e-2:
-        raise ConfigError("[run] dt must lie in (0, 1e-2]")
-    if duration <= 0:
-        raise ConfigError("[run] duration must be > 0")
-    return ExperimentConfig(
-        plant=plant,
-        controller=controller,
-        excitation=excitation,
-        analysis=analysis,
-        duration=duration,
-        dt=dt,
-        seed=seed,
-        noise_std=noise,
-        allow_nyquist=allow_ny,
-        output_dir=out,
-    )
-
-
-def parse_config_file(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render a config back to INI text; parse(serialize(c)) == c."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    cp["plant"] = {k: repr(getattr(cfg.plant, k)) for k in _PLANT_KEYS}
-    ctrl = {}
-    c = cfg.controller
-    if c is None:
-        ctrl["type"] = "none"
-    elif isinstance(c, ProportionalFFConfig):
-        ctrl = {"type": "proportional", "K_f": repr(c.K_f), "source": c.source}
-    elif isinstance(c, DOBConfig):
-        ctrl = {
-            "type": "dob", "lambda": repr(c.lam), "m_n": repr(c.m_n),
-            "b_n": repr(c.b_n), "k_n": repr(c.k_n),
-        }
-    elif isinstance(c, PDConfig):
-        ctrl = {
-            "type": "pd", "K_p": repr(c.K_p), "K_d": repr(c.K_d),
-            "x_target": repr(c.x_target), "delay_samples": str(c.delay_samples),
-        }
-    elif isinstance(c, CompositeConfig):
-        ctrl = {
-            "type": "composite", "lambda": repr(c.dob.lam), "m_n": repr(c.dob.m_n),
-            "b_n": repr(c.dob.b_n), "k_n": repr(c.dob.k_n),
-            "ff_b_e": repr(c.feedforward.b_e), "ff_k_e": repr(c.feedforward.k_e),
-            "ff_b_s": repr(c.feedforward.b_s), "ff_k_s": repr(c.feedforward.k_s),
-            "ff_dahl": str(c.feedforward.dahl is not None),
-        }
-        if c.feedforward.dahl is not None:
-            ctrl["ff_F_c"] = repr(c.feedforward.dahl.F_c)
-            ctrl["ff_sigma"] = repr(c.feedforward.dahl.sigma)
-    else:
-        raise ConfigError(f"cannot serialize controller {c!r}")
-    cp["controller"] = ctrl
-
-    exc = {}
-    e = cfg.excitation
-    if e is None:
-        exc["type"] = "none"
-    elif isinstance(e, ChirpSpec):
-        exc = {
-            "type": "chirp", "amplitude": repr(e.amplitude), "f0": repr(e.f0),
-            "f1": repr(e.f1), "duration": repr(e.duration),
-        }
-    elif isinstance(e, SineSpec):
-        exc = {"type": "sine", "amplitude": repr(e.amplitude), "omega": repr(e.omega)}
-    elif isinstance(e, ConstantSpec):
-        exc = {"type": "constant", "value": repr(e.value)}
-    else:
-        raise ConfigError(f"cannot serialize excitation {e!r}")
-    if cfg.noise_std:
-        exc["noise_std"] = repr(cfg.noise_std)
-    cp["excitation"] = exc
-
-    a = cfg.analysis
-    cp["analysis"] = {
-        "type": a.kind, "grid_min": repr(a.grid_min), "grid_max": repr(a.grid_max),
-        "grid_points": str(a.grid_points), "force_amplitude": repr(a.force_amplitude),
-        "method": a.method, "include_motor_port": str(a.include_motor_port),
-        "fit_dahl": str(a.fit_dahl), "backdrive_omega": repr(a.backdrive_omega),
-        "backdrive_amplitude": repr(a.backdrive_amplitude),
-        "backdrive_cycles": str(a.backdrive_cycles),
-    }
-    cp["run"] = {
-        "duration": repr(cfg.duration), "dt": repr(cfg.dt), "seed": str(cfg.seed),
-        "output_dir": cfg.output_dir, "allow_nyquist": str(cfg.allow_nyquist),
-    }
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +122,28 @@ class ArtifactWriter:
         """Run ``writer(tmp_path)`` then atomically move into place."""
         final = self.path(name)
         tmp = final + ".tmp"
-        writer(tmp)
+        try:
+            writer(tmp)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
         os.replace(tmp, final)
         self.files.append(name)
         return final
 
     def write_text(self, name: str, text: str) -> str:
-        return self.write(name, lambda p: open(p, "w").write(text))
+        def write(path):
+            with open(path, "w") as fh:
+                fh.write(text)
+
+        return self.write(name, write)
 
     def finish(self) -> str:
         lines = []
         for name in self.files:
-            digest = hashlib.sha256(open(self.path(name), "rb").read()).hexdigest()
+            with open(self.path(name), "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
             lines.append(f"{digest}  {name}")
         return self.write_text("manifest.txt", "\n".join(lines) + "\n")
 
@@ -438,10 +157,6 @@ def _impedance_csv(path: str, fr: sid.FrequencyResponse) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("omega_rad_s,mag_db,phase_deg\n")
         np.savetxt(fh, data, fmt="%.9g", delimiter=",")
-
-
-def _closed_form_response(tf, grid: FrequencyGrid) -> sid.FrequencyResponse:
-    return sid.FrequencyResponse.from_tf(tf, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +217,8 @@ def _run_impedance(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
             ),
         }
         for name, tf in curves.items():
-            art.write(name, lambda p, tf=tf: _impedance_csv(p, _closed_form_response(tf, grid)))
+            fr = sid.FrequencyResponse.from_tf(tf, grid)
+            art.write(name, lambda p: _impedance_csv(p, fr))
         return
     fr = imp.measure_impedance(
         cfg.plant, cfg.controller, grid, amplitude=cfg.analysis.force_amplitude, dt=cfg.dt
@@ -623,6 +339,236 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> list[st
     finally:
         art.finish()
     return art.files
+
+
+# ---------------------------------------------------------------------------
+# Config schema: one table per section drives parsing and serialization
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+_BOOL = (True, False)  # a bool is a choice; configparser's spellings map to it
+_ALIASES = {
+    **configparser.ConfigParser.BOOLEAN_STATES,
+    "passivity-report": "passivity",
+    "proportional_ff": "proportional",
+}
+_KINDS = {float: "a finite number", int: "an integer"}
+
+
+class _Key(NamedTuple):
+    """One INI key of a section table."""
+
+    kind: object = float            # float, int, str, a tuple of choices, or
+                                    # {choice: _Group it builds}
+    default: object = _REQUIRED     # a value or a function of the plant
+    attr: str | None = None         # the field filled, when not named like the key
+    check: tuple = ()               # (test, text): a range no dataclass checks
+    hz: str | None = None           # a second key giving the same value in Hz
+
+
+class _Group(NamedTuple):
+    """Keys of one section that build ``cls(**fields)``; ``parts`` maps
+    fields to nested groups read from the same section."""
+
+    cls: type
+    keys: dict
+    parts: dict = {}
+
+
+_NONE = _Group(type(None), {})  # builds None
+_DOB = _Group(DOBConfig, {
+    "lambda": _Key(default=20.0, attr="lam", hz="lambda_hz"),
+    "m_n": _Key(default=lambda plant: plant.m),
+    "b_n": _Key(default=0.0),
+    "k_n": _Key(default=0.0),
+})
+_DAHL = _Group(DahlEstimate, {
+    "ff_F_c": _Key(default=lambda plant: plant.F_c or 0.032, attr="F_c"),
+    "ff_sigma": _Key(default=lambda plant: plant.sigma or 12.8, attr="sigma"),
+})
+_FEEDFORWARD = _Group(FeedforwardConfig, {
+    "ff_b_e": _Key(default=lambda plant: plant.b_e, attr="b_e"),
+    "ff_k_e": _Key(default=lambda plant: plant.k_e, attr="k_e"),
+    "ff_b_s": _Key(default=lambda plant: plant.b_s, attr="b_s"),
+    "ff_k_s": _Key(default=lambda plant: plant.k_s, attr="k_s"),
+    "ff_dahl": _Key({True: _DAHL, False: _NONE}, lambda plant: plant.F_c > 0, attr="dahl"),
+})
+_CONTROLLERS = {
+    "none": _NONE,
+    "proportional": _Group(ProportionalFFConfig, {"K_f": _Key(), "source": _Key(str, "internal")}),
+    "dob": _DOB,
+    "pd": _Group(PDConfig, {
+        "K_p": _Key(),
+        "K_d": _Key(),
+        "x_target": _Key(default=0.0),
+        "delay_samples": _Key(int, 0),
+    }),
+    "composite": _Group(CompositeConfig, {}, {"dob": _DOB, "feedforward": _FEEDFORWARD}),
+}
+_EXCITATIONS = {
+    "none": _NONE,
+    "chirp": _Group(ChirpSpec, {
+        "amplitude": _Key(default=0.3),
+        "f0": _Key(default=0.01),
+        "f1": _Key(default=1000.0),
+        "duration": _Key(default=600.0),
+    }),
+    "sine": _Group(SineSpec, {"amplitude": _Key(), "omega": _Key()}),
+    "constant": _Group(ConstantSpec, {"value": _Key()}),
+}
+_ANALYSIS = _Group(AnalysisSpec, {
+    "type": _Key(tuple(_RUNNERS), "simulate", attr="kind"),
+    "grid_min": _Key(default=0.1),
+    "grid_max": _Key(default=100.0),
+    "grid_points": _Key(int, 20),
+    "force_amplitude": _Key(default=0.1),
+    "method": _Key(("measured", "closed_form"), "measured"),
+    "include_motor_port": _Key(_BOOL, False),
+    "fit_dahl": _Key(_BOOL, False),
+    "backdrive_omega": _Key(default=1.0),
+    "backdrive_amplitude": _Key(default=0.5),
+    "backdrive_cycles": _Key(int, 4),
+})
+_GRIPPER = PlantParams.gripper()
+
+# Each section fills fields of ExperimentConfig. [plant] comes first: the
+# defaults of other sections are functions of the plant.
+_SECTIONS = {
+    "plant": _Group(dict, {}, {"plant": _Group(PlantParams, {
+        f.name: _Key(default=getattr(_GRIPPER, f.name)) for f in fields(PlantParams)
+    })}),
+    "controller": _Group(dict, {"type": _Key(_CONTROLLERS, "none", attr="controller")}),
+    "excitation": _Group(dict, {
+        "type": _Key(_EXCITATIONS, "none", attr="excitation"),
+        "noise_std": _Key(default=0.0, check=(lambda v: v >= 0, "must be >= 0")),
+    }),
+    "analysis": _Group(dict, {}, {"analysis": _ANALYSIS}),
+    "run": _Group(dict, {
+        "duration": _Key(default=10.0, check=(lambda v: v > 0, "must be > 0")),
+        "dt": _Key(default=DEFAULT_DT, check=(lambda v: 0 < v <= 1e-2, "must lie in (0, 1e-2]")),
+        "seed": _Key(int, 1),
+        "output_dir": _Key(str, "out"),
+        "allow_nyquist": _Key(_BOOL, True),
+    }),
+}
+
+
+class _SectionReader:
+    """Reads one section against its table; every error names the key.
+    ``taken`` collects the keys offered on the way: a key left over is one
+    the section, with the types chosen, does not take."""
+
+    def __init__(self, section: str, values, plant: PlantParams | None):
+        self.section, self.values, self.plant = section, values, plant
+        self.taken: set[str] = set()
+        self.chosen: list[str] = []
+
+    def error(self, text) -> ConfigError:
+        return ConfigError(f"[{self.section}] {text}")
+
+    def convert(self, name: str, key: _Key, raw: str):
+        kind, choices = key.kind, isinstance(key.kind, (tuple, dict))
+        try:
+            if choices:
+                value = _ALIASES.get(raw.lower(), raw.lower())
+                if value not in kind:
+                    raise ValueError(value)
+            else:
+                value = kind(raw)
+                if kind is float and not math.isfinite(value):
+                    raise ValueError(value)
+        except ValueError:
+            what = "one of " + ", ".join(map(str, kind)) if choices else _KINDS[kind]
+            raise self.error(f"{name} must be {what}, got {raw!r}") from None
+        if key.check and not key.check[0](value):
+            raise self.error(f"{name} {key.check[1]}")
+        return value
+
+    def value(self, name: str, key: _Key):
+        self.taken.update(filter(None, (name, key.hz)))
+        raw, hz = self.values.get(name), key.hz and self.values.get(key.hz)
+        if raw is not None and hz is not None:
+            raise self.error(f"give {name} (rad/s) or {key.hz} (Hz), not both")
+        if hz is not None:
+            return TWO_PI * self.convert(key.hz, key, hz)
+        if raw is not None:
+            value = self.convert(name, key, raw)
+        elif key.default is _REQUIRED:
+            raise self.error(f"missing required key {name!r}")
+        else:
+            value = key.default(self.plant) if callable(key.default) else key.default
+        if not isinstance(key.kind, dict):
+            return value
+        self.chosen.append(f"{name} = {value}")
+        return self.build(key.kind[value])
+
+    def build(self, group: _Group):
+        kwargs = {key.attr or name: self.value(name, key) for name, key in group.keys.items()}
+        kwargs.update((attr, self.build(part)) for attr, part in group.parts.items())
+        try:
+            return group.cls(**kwargs)
+        except ValueError as exc:
+            raise self.error(exc) from exc
+
+    def read(self, group: _Group) -> dict:
+        kwargs = self.build(group)
+        for name in self.values:
+            if name not in self.taken:
+                chosen = f" with {', '.join(self.chosen)}" if self.chosen else ""
+                raise self.error(f"unknown key {name!r}{chosen}; allowed: {sorted(self.taken)}")
+        return kwargs
+
+
+def _flatten(obj, group: _Group) -> dict[str, str]:
+    """The INI text of each key of ``group`` in ``obj``; the inverse of reading."""
+    out = {}
+    for name, key in group.keys.items():
+        value = getattr(obj, key.attr or name)
+        if isinstance(key.kind, dict):
+            choice = next((c for c, part in key.kind.items() if isinstance(value, part.cls)), None)
+            if choice is None:
+                raise ConfigError(f"cannot serialize {value!r}")
+            out[name] = str(choice)
+            out.update(_flatten(value, key.kind[choice]))
+        else:
+            out[name] = str(value)
+    for attr, part in group.parts.items():
+        out.update(_flatten(getattr(obj, attr), part))
+    return out
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse INI-form experiment text into a validated ExperimentConfig."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    cp.optionxform = str  # keys are case sensitive (K_p vs k_p)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"config syntax: {exc}") from exc
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+    kwargs = {}
+    for section, group in _SECTIONS.items():
+        values = cp[section] if cp.has_section(section) else {}
+        kwargs.update(_SectionReader(section, values, kwargs.get("plant")).read(group))
+    return ExperimentConfig(**kwargs)
+
+
+def parse_config_file(path: str) -> ExperimentConfig:
+    with open(path) as fh:
+        return parse_config(fh.read())
+
+
+def serialize_config(cfg: ExperimentConfig) -> str:
+    """Render a config back to INI text; parse(serialize(c)) == c."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    for section, group in _SECTIONS.items():
+        cp[section] = _flatten(cfg, group)
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

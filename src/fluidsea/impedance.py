@@ -330,14 +330,16 @@ class ZWidthCurve:
         data = np.column_stack(
             [self.grid.omegas, self.z_min_db, self.z_max_db, self.width_db]
         )
-        data[~self.valid, 1:] = np.nan
         with open(path, "w", newline="") as fh:
             fh.write("omega_rad_s,zmin_db,zmax_db,width_db\n")
             np.savetxt(fh, data, fmt="%.9g", delimiter=",")
 
 
 def zwidth(z_min: FrequencyResponse, z_max: FrequencyResponse) -> ZWidthCurve:
-    """Pointwise dB ratio of two impedance measurements on a common grid."""
+    """Pointwise dB ratio of two impedance measurements on a common grid.
+
+    Where either measurement is invalid, all three dB values are NaN.
+    """
     if len(z_min.grid) != len(z_max.grid) or not np.allclose(
         z_min.omegas, z_max.omegas, rtol=1e-9
     ):
@@ -346,6 +348,7 @@ def zwidth(z_min: FrequencyResponse, z_max: FrequencyResponse) -> ZWidthCurve:
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = 20.0 * np.log10(np.abs(z_min.H))
         hi = 20.0 * np.log10(np.abs(z_max.H))
+    lo[~valid] = hi[~valid] = np.nan
     return ZWidthCurve(
         grid=z_min.grid,
         z_min_db=lo,

@@ -1,11 +1,15 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluidsea.cli import main
 from fluidsea.controllers import CompositeConfig
 from fluidsea.experiments import (
+    ArtifactWriter,
     ConfigError,
     parse_config,
     preset_config,
@@ -89,6 +93,75 @@ class TestConfigParsing:
             parse_config("[run]\ndt = 0.5\n")
 
 
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+@st.composite
+def config_texts(draw):
+    """INI text over every section; optional keys are left out at random."""
+    pos, nonneg, real = _floats(1e-4, 1e3), _floats(0.0, 1e3), _floats(-1e3, 1e3)
+    sections = {"plant": {}, "controller": {}, "excitation": {}, "analysis": {}, "run": {}}
+
+    def maybe(section, **keys):
+        for key, strategy in keys.items():
+            if draw(st.booleans()):
+                sections[section][key] = draw(strategy)
+
+    maybe("plant", m=pos, b=nonneg, k=nonneg, m_e=pos, b_e=nonneg, k_e=nonneg,
+          b_s=nonneg, k_s=pos, F_c=nonneg, sigma=nonneg, n_dahl=pos)
+    ctrl = sections["controller"]
+    ctrl["type"] = draw(st.sampled_from(["none", "proportional", "dob", "pd", "composite"]))
+    if ctrl["type"] == "proportional":
+        ctrl["K_f"] = draw(real)
+        maybe("controller", source=st.sampled_from(["internal", "external"]))
+    elif ctrl["type"] == "pd":
+        ctrl["K_p"], ctrl["K_d"] = draw(nonneg), draw(nonneg)
+        maybe("controller", x_target=real, delay_samples=st.integers(0, 3).map(str))
+    elif ctrl["type"] in ("dob", "composite"):
+        maybe("controller", **{draw(st.sampled_from(["lambda", "lambda_hz"])): pos})
+        maybe("controller", m_n=pos, b_n=nonneg, k_n=nonneg)
+    if ctrl["type"] == "composite":
+        maybe("controller", ff_b_e=nonneg, ff_k_e=nonneg, ff_b_s=nonneg, ff_k_s=pos,
+              ff_dahl=st.sampled_from(["true", "false"]))
+        if ctrl.get("ff_dahl") == "true":
+            maybe("controller", ff_F_c=pos, ff_sigma=pos)
+    exc = sections["excitation"]
+    exc["type"] = draw(st.sampled_from(["none", "chirp", "sine", "constant"]))
+    if exc["type"] == "chirp":
+        f0 = draw(st.floats(1e-3, 10.0))
+        exc["f0"], exc["f1"] = repr(f0), repr(f0 * draw(st.floats(1.5, 1e3)))
+        maybe("excitation", amplitude=real, duration=pos)
+    elif exc["type"] == "sine":
+        exc["amplitude"], exc["omega"] = draw(real), draw(pos)
+    elif exc["type"] == "constant":
+        exc["value"] = draw(real)
+    maybe("excitation", noise_std=nonneg)
+    grid_min = draw(st.floats(1e-3, 10.0))
+    sections["analysis"].update(grid_min=repr(grid_min), grid_max=repr(grid_min * 10.0))
+    maybe("analysis", type=st.sampled_from(["simulate", "sysid", "impedance", "workloop",
+                                            "zwidth", "passivity"]),
+          grid_points=st.integers(1, 200).map(str), force_amplitude=pos,
+          method=st.sampled_from(["measured", "closed_form"]),
+          include_motor_port=st.sampled_from(["true", "false"]),
+          fit_dahl=st.sampled_from(["yes", "no"]), backdrive_omega=pos,
+          backdrive_amplitude=pos, backdrive_cycles=st.integers(1, 10).map(str))
+    maybe("run", duration=pos, dt=_floats(1e-6, 1e-2), seed=st.integers(0, 2**32).map(str),
+          output_dir=st.text("abcXYZ019_-./%", min_size=1, max_size=12),
+          allow_nyquist=st.sampled_from(["on", "off"]))
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        for name, keys in sections.items()
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_texts())
+def test_parse_serialize_round_trip(text):
+    cfg = parse_config(text)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 class TestPresets:
     def test_seven_presets(self):
         names = presets()
@@ -156,6 +229,19 @@ class TestRunExperiment:
                 open(tmp_path / "a" / name, "rb").read()
                 == open(tmp_path / "b" / name, "rb").read()
             )
+
+    def test_failed_write_leaves_no_tmp(self, tmp_path):
+        art = ArtifactWriter(str(tmp_path))
+
+        def writer(path):
+            with open(path, "w") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            art.write("trace.csv", writer)
+        assert list(tmp_path.iterdir()) == []
+        assert art.files == []
 
     def test_noise_is_seeded(self, tmp_path):
         text = """
@@ -237,6 +323,40 @@ duration = 5
         rc = main(["simulate", str(cfg_path), "--out", str(out)])
         assert rc == 3
         assert (out / "manifest.txt").exists()  # partial manifest
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[analysis]\ngrid_points = abc\n", "grid_points"),
+            ("[run]\nseed = x\n", "seed"),
+            ("[analysis]\nfit_dahl = maybe\n", "fit_dahl"),
+            ("[run]\nallow_nyquist = sure\n", "allow_nyquist"),
+            ("[controller]\ntype = pd\nK_p = 1\n", "K_d"),
+            ("[plant]\nm = nan\n", "m"),
+            ("[run]\nduration = inf\n", "duration"),
+            ("[excitation]\ntype = chirp\nnoise_std = -1e-5\n", "noise_std"),
+            ("[controller]\ntype = dob\nK_p = 50\n", "K_p"),
+            ("[excitation]\ntype = constant\nvalue = 0.1\nomega = 3\n", "omega"),
+            ("[controller]\ntype = composite\nff_dahl = no\nff_F_c = 0.03\n", "ff_F_c"),
+        ],
+    )
+    def test_malformed_value_exit_code(self, tmp_path, capsys, text, key):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(text)
+        assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        section = text[1:text.index("]")]
+        assert re.search(rf"\b{key}\b", err)
+        assert err.count(f"[{section}]") == 1
+
+    def test_workloop_command(self, tmp_path):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text("[controller]\ntype = dob\n\n[analysis]\ntype = workloop\n")
+        out = tmp_path / "wl"
+        assert main(["workloop", str(cfg_path), "--out", str(out)]) == 0
+        report = (out / "workloop_report.txt").read_text().splitlines()
+        assert report[0].startswith("external loop: amplitude")
+        assert report[1].startswith("internal loop: amplitude")
 
     def test_missing_config_file(self, tmp_path):
         rc = main(["simulate", str(tmp_path / "nope.ini")])

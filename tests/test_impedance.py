@@ -234,6 +234,20 @@ class TestZWidth:
         b = self._response([2.0, 2.0])
         assert list(zwidth(a, b).valid) == [True, False]
 
+    def test_invalid_point_reads_nan(self, tmp_path):
+        # an unsettled point keeps H = 0, whose dB is -inf and width +inf
+        grid = FrequencyGrid(np.array([1.0, 10.0]))
+        a = FrequencyResponse(
+            grid, np.array([1.0, 0.0], complex), np.zeros(2), np.array([True, False])
+        )
+        curve = zwidth(a, self._response([10.0, 10.0]))
+        assert curve.width_db[0] == pytest.approx(20.0)
+        for db in (curve.z_min_db, curve.z_max_db, curve.width_db):
+            assert np.isnan(db[1])
+        curve.to_csv(tmp_path / "zw.csv")
+        rows = np.loadtxt(tmp_path / "zw.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(rows[0]).all() and np.isnan(rows[1, 1:]).all()
+
     def test_csv(self, tmp_path):
         curve = zwidth(self._response([1.0, 1.0]), self._response([10.0, 10.0]))
         out = tmp_path / "zw.csv"
