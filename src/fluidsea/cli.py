@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .experiments import (
     _RUNNERS,
     ConfigError,
-    _override_lambda,
+    apply_overrides,
     parse_config_file,
     presets,
     run_experiment,
@@ -87,12 +86,7 @@ def main(argv=None) -> int:
                 f"[analysis] type is {cfg.analysis.kind!r} but the "
                 f"{args.command!r} subcommand was invoked"
             )
-        if args.dt is not None:
-            cfg = replace(cfg, dt=args.dt)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.lam is not None and cfg.controller is not None:
-            cfg = replace(cfg, controller=_override_lambda(cfg.controller, args.lam))
+        cfg = apply_overrides(cfg, dt=args.dt, seed=args.seed, lam=args.lam)
         files = run_experiment(cfg, args.out)
         for f in files:
             print(f)

@@ -31,7 +31,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .lti import Polynomial, RationalTF, discretize_tustin
+from .lti import DiscreteFilter, Polynomial, RationalTF, discretize_tustin
 
 __all__ = [
     "CompositeConfig",
@@ -306,23 +306,31 @@ class FeedforwardCompensator:
     a trapezoidal integrator supplies the k_e/s V term. The optional Dahl
     estimate advances by the exact constant-velocity solution of the n = 1
     law over each sample, driven by the estimated endpoint displacement.
+
+    Both filters are first order. Their coefficients come from
+    :func:`discretize_tustin` and they run as the scalar recurrence of
+    :meth:`DiscreteFilter.step`, ``y = b0 u + z`` then ``z = b1 u - a1 y``.
     """
 
     def __init__(self, cfg: FeedforwardConfig, dt: float):
         self.cfg = cfg
         self.dt = dt
-        self._fp_branch = discretize_tustin(
-            RationalTF(Polynomial([cfg.b_e, cfg.k_e]), Polynomial([cfg.b_s, cfg.k_s])),
-            dt,
+        self._fp_coeffs = _first_order(
+            discretize_tustin(
+                RationalTF(Polynomial([cfg.b_e, cfg.k_e]), Polynomial([cfg.b_s, cfg.k_s])),
+                dt,
+            )
         )
-        self._vhat_branch = discretize_tustin(
-            RationalTF(Polynomial([1.0, 0.0]), Polynomial([cfg.b_s, cfg.k_s])), dt
+        self._vhat_coeffs = _first_order(
+            discretize_tustin(
+                RationalTF(Polynomial([1.0, 0.0]), Polynomial([cfg.b_s, cfg.k_s])), dt
+            )
         )
         self.reset()
 
     def reset(self):
-        self._fp_branch.reset()
-        self._vhat_branch.reset()
+        self._z_fp = 0.0
+        self._z_vhat = 0.0
         self._i_v = 0.0
         self._v_prev = 0.0
         self._vhat_prev = 0.0
@@ -344,12 +352,24 @@ class FeedforwardCompensator:
         half = 0.5 * self.dt
         self._i_v += half * (v + self._v_prev)
         self._v_prev = v
-        linear = cfg.b_e * v + cfg.k_e * self._i_v + self._fp_branch.step(F_p)
-        vhat = v + self._vhat_branch.step(F_p)
+        b0, b1, a1 = self._fp_coeffs
+        y_fp = b0 * F_p + self._z_fp
+        self._z_fp = b1 * F_p - a1 * y_fp
+        b0, b1, a1 = self._vhat_coeffs
+        y_vhat = b0 * F_p + self._z_vhat
+        self._z_vhat = b1 * F_p - a1 * y_vhat
+        linear = cfg.b_e * v + cfg.k_e * self._i_v + y_fp
+        vhat = v + y_vhat
         self.last_vhat_e = vhat
         dx = half * (vhat + self._vhat_prev)
         self._vhat_prev = vhat
         return linear + self._advance_dahl(dx)
+
+
+def _first_order(f: DiscreteFilter) -> tuple[float, float, float]:
+    """(b0, b1, a1) of a first-order filter; any other order fails to unpack."""
+    (b0, b1), (_, a1) = f.b, f.a
+    return float(b0), float(b1), float(a1)
 
 
 class CompositeController(BaseController):

@@ -44,6 +44,7 @@ from .signals import ChirpSpec, ConstantSpec, SineSpec
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "apply_overrides",
     "parse_config",
     "parse_config_file",
     "presets",
@@ -266,9 +267,12 @@ def _run_zwidth(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
     z_min = imp.measure_impedance(
         cfg.plant, min_ctrl, grid, amplitude=a.force_amplitude, dt=cfg.dt
     )
-    z_max = imp.measure_impedance(
-        cfg.plant, pd_cfg, grid, amplitude=a.force_amplitude, dt=cfg.dt
+    # One PD simulation per point serves both ports.
+    ports = ("endpoint", "motor") if a.include_motor_port else ("endpoint",)
+    z_pd = imp.measure_impedance(
+        cfg.plant, pd_cfg, grid, amplitude=a.force_amplitude, dt=cfg.dt, port=ports
     )
+    z_max = z_pd[0]
     curve = imp.zwidth(z_min, z_max)
     art.write("zmin.csv", lambda p: _impedance_csv(p, z_min))
     art.write("zmax.csv", lambda p: _impedance_csv(p, z_max))
@@ -277,9 +281,7 @@ def _run_zwidth(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
         f"max-impedance PD gains: K_p {pd_cfg.K_p:.4f} Nm/rad, K_d {pd_cfg.K_d:.4f} Nm s/rad"
     ]
     if a.include_motor_port:
-        z_motor = imp.measure_impedance(
-            cfg.plant, pd_cfg, grid, amplitude=a.force_amplitude, dt=cfg.dt, port="motor"
-        )
+        z_motor = z_pd[1]
         curve_m = imp.zwidth(z_min, z_motor)
         art.write("zmax_motor.csv", lambda p: _impedance_csv(p, z_motor))
         art.write("zwidth_motor.csv", curve_m.to_csv)
@@ -425,9 +427,10 @@ _ANALYSIS = _Group(AnalysisSpec, {
     "method": _Key(("measured", "closed_form"), "measured"),
     "include_motor_port": _Key(_BOOL, False),
     "fit_dahl": _Key(_BOOL, False),
-    "backdrive_omega": _Key(default=1.0),
+    "backdrive_omega": _Key(default=1.0, check=(lambda v: v > 0, "must be > 0")),
     "backdrive_amplitude": _Key(default=0.5),
-    "backdrive_cycles": _Key(int, 4),
+    # n cycles give n - 1 upward crossings of x_e; the work loop needs three
+    "backdrive_cycles": _Key(int, 4, check=(lambda v: v >= 4, "must be >= 4")),
 })
 _GRIPPER = PlantParams.gripper()
 
@@ -673,13 +676,7 @@ def preset_config(name: str, plant: PlantParams | None = None) -> ExperimentConf
 def run_preset(name: str, out_dir: str, dt: float | None = None,
                seed: int | None = None, lam: float | None = None) -> list[str]:
     """Build and run a preset; fig6a additionally emits the passive loops."""
-    cfg = preset_config(name)
-    if dt is not None:
-        cfg = replace(cfg, dt=dt)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if lam is not None and cfg.controller is not None:
-        cfg = replace(cfg, controller=_override_lambda(cfg.controller, lam))
+    cfg = apply_overrides(preset_config(name), dt=dt, seed=seed, lam=lam)
     files = run_experiment(cfg, out_dir)
     if name == "fig6a-workloop":
         passive_cfg = replace(cfg, controller=None)
@@ -688,9 +685,27 @@ def run_preset(name: str, out_dir: str, dt: float | None = None,
     return files
 
 
-def _override_lambda(controller, lam: float):
-    if isinstance(controller, DOBConfig):
-        return replace(controller, lam=lam)
-    if isinstance(controller, CompositeConfig):
-        return replace(controller, dob=replace(controller.dob, lam=lam))
-    return controller
+def apply_overrides(cfg: ExperimentConfig, dt: float | None = None,
+                    seed: int | None = None, lam: float | None = None) -> ExperimentConfig:
+    """``cfg`` with the command-line overrides --dt, --seed and --lambda applied.
+
+    --dt takes the range check of ``[run] dt``. --lambda [rad/s] sets the
+    observer cutoff of a dob or composite controller and leaves any other
+    controller as it is.
+    """
+    if dt is not None:
+        test, text = _SECTIONS["run"].keys["dt"].check
+        if not test(dt):
+            raise ConfigError(f"--dt {text}, got {dt!r}")
+        cfg = replace(cfg, dt=dt)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
+    if lam is not None:
+        if not (math.isfinite(lam) and lam > 0):
+            raise ConfigError(f"--lambda must be a finite number > 0, got {lam!r}")
+        ctrl = cfg.controller
+        if isinstance(ctrl, DOBConfig):
+            cfg = replace(cfg, controller=replace(ctrl, lam=lam))
+        elif isinstance(ctrl, CompositeConfig):
+            cfg = replace(cfg, controller=replace(ctrl, dob=replace(ctrl.dob, lam=lam)))
+    return cfg

@@ -75,6 +75,10 @@ def _phasor(sig: np.ndarray, t: np.ndarray, omega: float) -> complex:
     return 2.0 * np.dot(sig, e) / sig.size
 
 
+# Trace columns (force, velocity) whose phasor ratio is each port's impedance.
+_PORT_SIGNALS = {"endpoint": ("F_e", "v_e"), "motor": ("F_p", "v")}
+
+
 def measure_impedance(
     params: PlantParams,
     controller,
@@ -85,8 +89,8 @@ def measure_impedance(
     measure_cycles: int = 3,
     drift_tol: float = 5e-3,
     dt: float = DEFAULT_DT,
-    port: str = "endpoint",
-) -> FrequencyResponse:
+    port: str | tuple[str, ...] = "endpoint",
+) -> FrequencyResponse | tuple[FrequencyResponse, ...]:
     """Endpoint (or motor-port) impedance Z(j omega) from simulation.
 
     Per grid point the plant runs under ``controller`` with
@@ -99,21 +103,28 @@ def measure_impedance(
     Z is the ratio of force to velocity phasors over the final cycle:
     F_e/V_e at the endpoint port, F_p/V at the motor port.
 
+    ``port`` may also be a tuple of port names; one simulation per point
+    then serves every port, and a tuple of responses in the same order is
+    returned. Each port keeps its own drift check, and a retry runs only
+    while some port is still unsettled, so each response equals the one a
+    single-port call gives.
+
     Points where the simulation diverges are marked invalid rather than
     aborting the sweep.
     """
-    if port not in ("endpoint", "motor"):
+    ports = (port,) if isinstance(port, str) else tuple(port)
+    if not ports or any(p not in _PORT_SIGNALS for p in ports):
         raise ValueError("port must be 'endpoint' or 'motor'")
     omegas = np.array([snap_omega(w, dt) for w in grid.omegas])
-    H = np.zeros(omegas.size, dtype=complex)
-    valid = np.ones(omegas.size, dtype=bool)
+    H = [np.zeros(omegas.size, dtype=complex) for _ in ports]
+    valid = [np.ones(omegas.size, dtype=bool) for _ in ports]
 
     for i, w in enumerate(omegas):
         period = 2.0 * math.pi / w
         n_per = int(round(period / dt))
         base_settle = max(settle_cycles, int(math.ceil(settle_min_time / period)))
-        ok = False
-        for attempt, settle in enumerate((base_settle, 2 * base_settle)):
+        pending = list(range(len(ports)))
+        for settle in (base_settle, 2 * base_settle):
             cycles = settle + measure_cycles
             try:
                 trace = simulate(
@@ -125,33 +136,36 @@ def measure_impedance(
                     dt=dt,
                 )
             except SimulationDivergedError:
-                valid[i] = False
                 break
-            f_sig = trace.F_e if port == "endpoint" else trace.F_p
-            v_sig = trace.v_e if port == "endpoint" else trace.v
-            amps = []
-            for c in range(measure_cycles):
-                lo = (settle + c) * n_per
-                hi = lo + n_per
-                if hi > len(trace):
-                    break
-                amps.append(abs(_phasor(v_sig[lo:hi], trace.t[lo:hi], w)))
-            if len(amps) >= 2 and amps[-1] > 0:
-                drift = abs(amps[-1] - amps[-2]) / amps[-1]
-                if drift <= drift_tol:
-                    lo = (cycles - 1) * n_per
+            for j in list(pending):
+                f_name, v_name = _PORT_SIGNALS[ports[j]]
+                f_sig, v_sig = trace.column(f_name), trace.column(v_name)
+                amps = []
+                for c in range(measure_cycles):
+                    lo = (settle + c) * n_per
                     hi = lo + n_per
-                    pf = _phasor(f_sig[lo:hi], trace.t[lo:hi], w)
-                    pv = _phasor(v_sig[lo:hi], trace.t[lo:hi], w)
-                    H[i] = pf / pv
-                    ok = True
-                    break
-        if not ok and valid[i]:
-            valid[i] = False
+                    if hi > len(trace):
+                        break
+                    amps.append(abs(_phasor(v_sig[lo:hi], trace.t[lo:hi], w)))
+                if len(amps) >= 2 and amps[-1] > 0:
+                    drift = abs(amps[-1] - amps[-2]) / amps[-1]
+                    if drift <= drift_tol:
+                        lo = (cycles - 1) * n_per
+                        hi = lo + n_per
+                        pf = _phasor(f_sig[lo:hi], trace.t[lo:hi], w)
+                        pv = _phasor(v_sig[lo:hi], trace.t[lo:hi], w)
+                        H[j][i] = pf / pv
+                        pending.remove(j)
+            if not pending:
+                break
+        for j in pending:
+            valid[j][i] = False
 
-    return FrequencyResponse(
-        FrequencyGrid(omegas), H, np.zeros(omegas.size), valid
+    responses = tuple(
+        FrequencyResponse(FrequencyGrid(omegas), h, np.zeros(omegas.size), ok)
+        for h, ok in zip(H, valid)
     )
+    return responses[0] if isinstance(port, str) else responses
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ external force is evaluated at the RK4 stage times while the controller
 output is held for the step (zero-order hold). The Dahl state is clamped to
 [-F_c, F_c] after each step, since RK4 can overshoot the bound by O(dt^2).
 
+The force-source loop of :func:`simulate` runs in plain Python scalars: the
+four RK4 stages are straight-line code in one closure, and each trace column
+is recorded into its own flat float buffer, which the returned trace views
+without a copy.
+
 The nonlinear viscous losses of a real hose are intentionally out of model
 scope; the line stays a linear spring-damper.
 """
@@ -27,6 +32,7 @@ scope; the line stays a linear spring-damper.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -161,6 +167,11 @@ def _make_stepper(params: PlantParams):
     inside the stages (``kf_int`` on the line force, ``kf_ext`` on the
     external force), and the external force evaluated at the three stage
     times ``fe0, feh, fe1``.
+
+    The four stages are written out as straight-line scalar code. Stage j
+    reads the state ``xj, vj, xej, vej, fdj`` (plain ``x, v, xe, ve, fd`` for
+    j = 1) and yields the rates ``vj, dvj, vej, dvej, dfdj``: the position
+    rates are the stage velocities themselves.
     """
     m, b, k = params.m, params.b, params.k
     m_e, b_e, k_e = params.m_e, params.b_e, params.k_e
@@ -168,43 +179,67 @@ def _make_stepper(params: PlantParams):
     F_c, sigma, n = params.F_c, params.sigma, params.n_dahl
     dahl_on = F_c > 0.0
     general_n = n != 1.0
+    copysign = math.copysign
 
     def rk4(x, v, xe, ve, fd, fa, kf_int, kf_ext, fe0, feh, fe1, dt):
-        def rhs(x, v, xe, ve, fd, fe):
-            fp = b_s * (ve - v) + k_s * (xe - x)
-            dv = (fa + kf_int * fp + kf_ext * fe + fp - b * v - k * x) / m
-            dve = (fe - fp - b_e * ve - k_e * xe - fd) / m_e
-            if dahl_on and ve != 0.0:
-                s = 1.0 if ve > 0.0 else -1.0
-                g = 1.0 - (fd / F_c) * s
-                if general_n:
-                    dfd = sigma * ve * abs(g) ** n * math.copysign(1.0, g)
-                else:
-                    dfd = sigma * ve * g
-            else:
-                dfd = 0.0
-            return v, dv, ve, dve, dfd
-
         h = dt * 0.5
-        k1 = rhs(x, v, xe, ve, fd, fe0)
-        k2 = rhs(
-            x + h * k1[0], v + h * k1[1], xe + h * k1[2], ve + h * k1[3],
-            fd + h * k1[4], feh,
-        )
-        k3 = rhs(
-            x + h * k2[0], v + h * k2[1], xe + h * k2[2], ve + h * k2[3],
-            fd + h * k2[4], feh,
-        )
-        k4 = rhs(
-            x + dt * k3[0], v + dt * k3[1], xe + dt * k3[2], ve + dt * k3[3],
-            fd + dt * k3[4], fe1,
-        )
+        fp = b_s * (ve - v) + k_s * (xe - x)
+        dv1 = (fa + kf_int * fp + kf_ext * fe0 + fp - b * v - k * x) / m
+        dve1 = (fe0 - fp - b_e * ve - k_e * xe - fd) / m_e
+        if dahl_on and ve != 0.0:
+            g = 1.0 - (fd / F_c) * (1.0 if ve > 0.0 else -1.0)
+            dfd1 = sigma * ve * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve * g
+        else:
+            dfd1 = 0.0
+
+        x2 = x + h * v
+        v2 = v + h * dv1
+        xe2 = xe + h * ve
+        ve2 = ve + h * dve1
+        fd2 = fd + h * dfd1
+        fp = b_s * (ve2 - v2) + k_s * (xe2 - x2)
+        dv2 = (fa + kf_int * fp + kf_ext * feh + fp - b * v2 - k * x2) / m
+        dve2 = (feh - fp - b_e * ve2 - k_e * xe2 - fd2) / m_e
+        if dahl_on and ve2 != 0.0:
+            g = 1.0 - (fd2 / F_c) * (1.0 if ve2 > 0.0 else -1.0)
+            dfd2 = sigma * ve2 * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve2 * g
+        else:
+            dfd2 = 0.0
+
+        x3 = x + h * v2
+        v3 = v + h * dv2
+        xe3 = xe + h * ve2
+        ve3 = ve + h * dve2
+        fd3 = fd + h * dfd2
+        fp = b_s * (ve3 - v3) + k_s * (xe3 - x3)
+        dv3 = (fa + kf_int * fp + kf_ext * feh + fp - b * v3 - k * x3) / m
+        dve3 = (feh - fp - b_e * ve3 - k_e * xe3 - fd3) / m_e
+        if dahl_on and ve3 != 0.0:
+            g = 1.0 - (fd3 / F_c) * (1.0 if ve3 > 0.0 else -1.0)
+            dfd3 = sigma * ve3 * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve3 * g
+        else:
+            dfd3 = 0.0
+
+        x4 = x + dt * v3
+        v4 = v + dt * dv3
+        xe4 = xe + dt * ve3
+        ve4 = ve + dt * dve3
+        fd4 = fd + dt * dfd3
+        fp = b_s * (ve4 - v4) + k_s * (xe4 - x4)
+        dv4 = (fa + kf_int * fp + kf_ext * fe1 + fp - b * v4 - k * x4) / m
+        dve4 = (fe1 - fp - b_e * ve4 - k_e * xe4 - fd4) / m_e
+        if dahl_on and ve4 != 0.0:
+            g = 1.0 - (fd4 / F_c) * (1.0 if ve4 > 0.0 else -1.0)
+            dfd4 = sigma * ve4 * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve4 * g
+        else:
+            dfd4 = 0.0
+
         w = dt / 6.0
-        x += w * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        v += w * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        xe += w * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        ve += w * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-        fd += w * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4])
+        x += w * (v + 2.0 * (v2 + v3) + v4)
+        v += w * (dv1 + 2.0 * (dv2 + dv3) + dv4)
+        xe += w * (ve + 2.0 * (ve2 + ve3) + ve4)
+        ve += w * (dve1 + 2.0 * (dve2 + dve3) + dve4)
+        fd += w * (dfd1 + 2.0 * (dfd2 + dfd3) + dfd4)
         if dahl_on:
             if fd > F_c:
                 fd = F_c
@@ -345,40 +380,48 @@ def simulate(
     x, v, xe, ve, fd = s0.x, s0.v, s0.x_e, s0.v_e, s0.f_d
     b_s, k_s = params.b_s, params.k_s
 
-    cols = np.empty((n, 11))
+    # One flat buffer per trace column; SimTrace views them without a copy.
+    buffers = [array("d", [0.0]) * n for _ in TRACE_COLUMNS]
+    c_t, c_x, c_v, c_xe, c_ve, c_fp, c_fe, c_fa, c_fd, c_cmp, c_ref = buffers
+    ctrl_step = ctrl.step
     kf_int = getattr(ctrl, "stage_gain_internal", 0.0)
     kf_ext = getattr(ctrl, "stage_gain_external", 0.0)
     half = 0.5 * dt
     limit = _STATE_LIMIT
+    isfinite = math.isfinite
 
     for i in range(n):
         t = i * dt
         fp = b_s * (ve - v) + k_s * (xe - x)
         fe0 = fe_fn(t)
         fref = fref_fn(t)
-        fa = ctrl.step(fp, v, x, fe0, fref)
-        cols[i, 0] = t
-        cols[i, 1] = x
-        cols[i, 2] = v
-        cols[i, 3] = xe
-        cols[i, 4] = ve
-        cols[i, 5] = fp
-        cols[i, 6] = fe0
-        cols[i, 7] = fa + kf_int * fp + kf_ext * fe0
-        cols[i, 8] = fd
-        cols[i, 9] = ctrl.last_f_cmp
-        cols[i, 10] = fref
+        fa = ctrl_step(fp, v, x, fe0, fref)
+        c_t[i] = t
+        c_x[i] = x
+        c_v[i] = v
+        c_xe[i] = xe
+        c_ve[i] = ve
+        c_fp[i] = fp
+        c_fe[i] = fe0
+        c_fa[i] = fa + kf_int * fp + kf_ext * fe0
+        c_fd[i] = fd
+        c_cmp[i] = ctrl.last_f_cmp
+        c_ref[i] = fref
         x, v, xe, ve, fd = rk4(
             x, v, xe, ve, fd, fa, kf_int, kf_ext,
             fe0, fe_fn(t + half), fe_fn(t + dt), dt,
         )
+        # A NaN fails every comparison, so `<=` also rejects non-finite states.
         if not (
-            math.isfinite(x) and math.isfinite(v) and math.isfinite(xe)
-            and math.isfinite(ve) and math.isfinite(fd)
-        ) or abs(x) > limit or abs(v) > limit or abs(xe) > limit or abs(ve) > limit:
+            abs(x) <= limit and abs(v) <= limit and abs(xe) <= limit and abs(ve) <= limit
+            and isfinite(fd)
+        ):
             raise SimulationDivergedError(i)
 
-    return _trace_from_matrix(dt, cols)
+    return SimTrace(
+        dt=dt,
+        **{name: np.frombuffer(buf) for name, buf in zip(TRACE_COLUMNS, buffers)},
+    )
 
 
 def _trace_from_matrix(dt: float, cols: np.ndarray) -> SimTrace:

@@ -145,7 +145,7 @@ def config_texts(draw):
           method=st.sampled_from(["measured", "closed_form"]),
           include_motor_port=st.sampled_from(["true", "false"]),
           fit_dahl=st.sampled_from(["yes", "no"]), backdrive_omega=pos,
-          backdrive_amplitude=pos, backdrive_cycles=st.integers(1, 10).map(str))
+          backdrive_amplitude=pos, backdrive_cycles=st.integers(4, 10).map(str))
     maybe("run", duration=pos, dt=_floats(1e-6, 1e-2), seed=st.integers(0, 2**32).map(str),
           output_dir=st.text("abcXYZ019_-./%", min_size=1, max_size=12),
           allow_nyquist=st.sampled_from(["on", "off"]))
@@ -338,6 +338,8 @@ duration = 5
             ("[controller]\ntype = dob\nK_p = 50\n", "K_p"),
             ("[excitation]\ntype = constant\nvalue = 0.1\nomega = 3\n", "omega"),
             ("[controller]\ntype = composite\nff_dahl = no\nff_F_c = 0.03\n", "ff_F_c"),
+            ("[analysis]\nbackdrive_cycles = 3\n", "backdrive_cycles"),
+            ("[analysis]\nbackdrive_omega = 0\n", "backdrive_omega"),
         ],
     )
     def test_malformed_value_exit_code(self, tmp_path, capsys, text, key):
@@ -348,6 +350,24 @@ duration = 5
         section = text[1:text.index("]")]
         assert re.search(rf"\b{key}\b", err)
         assert err.count(f"[{section}]") == 1
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            (["passivity", "{cfg}"], "--dt", "0"),
+            (["passivity", "{cfg}"], "--dt", "0.5"),
+            (["preset", "fig5-ff-compare"], "--dt", "0"),
+            (["passivity", "{cfg}"], "--lambda", "0"),
+        ],
+    )
+    def test_override_out_of_range_exit_code(self, tmp_path, capsys, command, option, value):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(PASSIVITY_CFG)
+        argv = [a.format(cfg=cfg_path) for a in command]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out), option, value]) == 2
+        assert f"{option} must" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_workloop_command(self, tmp_path):
         cfg_path = tmp_path / "exp.ini"

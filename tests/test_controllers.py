@@ -17,7 +17,7 @@ from fluidsea.controllers import (
     proportional_ff,
 )
 from fluidsea.impedance import measure_impedance
-from fluidsea.lti import FrequencyGrid
+from fluidsea.lti import FrequencyGrid, Polynomial, RationalTF, discretize_tustin
 from fluidsea.passivity import nominal_bounds
 from fluidsea.plant import PlantParams, simulate
 from fluidsea.signals import SineSpec
@@ -206,6 +206,48 @@ class TestFeedforward:
         want = 0.032 * (1.0 - math.exp(-12.8 * (n * v * DT - 0.5 * v * DT) / 0.032))
         # half-sample offset from the trapezoidal displacement update
         assert out == pytest.approx(want, rel=1e-3)
+
+
+def _reference_feedforward(cfg, dt, samples):
+    """The feedforward law stepped through two DiscreteFilter objects."""
+    line = Polynomial([cfg.b_s, cfg.k_s])
+    fp_branch = discretize_tustin(RationalTF(Polynomial([cfg.b_e, cfg.k_e]), line), dt)
+    vhat_branch = discretize_tustin(RationalTF(Polynomial([1.0, 0.0]), line), dt)
+    half = 0.5 * dt
+    i_v = v_prev = vhat_prev = fd_hat = 0.0
+    out, vhats = [], []
+    for F_p, v in samples:
+        i_v += half * (v + v_prev)
+        v_prev = v
+        linear = cfg.b_e * v + cfg.k_e * i_v + fp_branch.step(F_p)
+        vhat = v + vhat_branch.step(F_p)
+        dx = half * (vhat + vhat_prev)
+        vhat_prev = vhat
+        if cfg.dahl is not None and dx != 0.0:
+            s = 1.0 if dx > 0.0 else -1.0
+            decay = math.exp(-cfg.dahl.sigma * abs(dx) / cfg.dahl.F_c)
+            fd_hat = s * cfg.dahl.F_c + (fd_hat - s * cfg.dahl.F_c) * decay
+        out.append(linear + (fd_hat if cfg.dahl is not None else 0.0))
+        vhats.append(vhat)
+    return out, vhats
+
+
+@pytest.mark.parametrize("include_dahl", [True, False])
+def test_feedforward_equals_discrete_filter_reference(gripper, include_dahl):
+    cfg = FeedforwardConfig.from_params(gripper, include_dahl=include_dahl)
+    assert (cfg.dahl is not None) == include_dahl
+    rng = np.random.default_rng(11)
+    samples = list(zip(rng.uniform(-1.0, 1.0, 10_000).tolist(),
+                       rng.uniform(-0.5, 0.5, 10_000).tolist()))
+    samples[100:200] = [(0.0, 0.0)] * 100  # rests, where the Dahl estimate holds
+    want, want_vhat = _reference_feedforward(cfg, DT, samples)
+    ff = FeedforwardCompensator(cfg, DT)
+    got, got_vhat = [], []
+    for F_p, v in samples:
+        got.append(ff.step(F_p, v))
+        got_vhat.append(ff.last_vhat_e)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert np.array(got_vhat).tobytes() == np.array(want_vhat).tobytes()
 
 
 class TestComposite:

@@ -91,6 +91,45 @@ class TestMeasureImpedance:
                 gripper_linear, None, FrequencyGrid(np.array([1.0])), port="elbow"
             )
 
+    @pytest.mark.parametrize(
+        "drift_tol, runs, endpoint_valid, motor_valid",
+        [
+            # at 20 rad/s the endpoint settles at once and only the motor port retries
+            (1.5e-4, 3, [True, True], [True, True]),
+            # both points retry; the motor port at 20 rad/s never settles
+            (1e-7, 4, [True, True], [True, False]),
+        ],
+    )
+    def test_port_tuple_equals_single_ports(
+        self, gripper, monkeypatch, drift_tol, runs, endpoint_valid, motor_valid
+    ):
+        import fluidsea.impedance as imp
+        from fluidsea.controllers import PDConfig
+
+        pd = PDConfig(K_p=88.4, K_d=1.768, delay_samples=1)
+        kw = dict(
+            grid=FrequencyGrid(np.array([2.0, 20.0])), settle_cycles=1,
+            settle_min_time=0.3, measure_cycles=2, drift_tol=drift_tol,
+        )
+        calls = []
+        original = imp.simulate
+
+        def counting_simulate(*args, **kwargs):
+            calls.append(args[2].omega)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(imp, "simulate", counting_simulate)
+        both = measure_impedance(gripper, pd, port=("endpoint", "motor"), **kw)
+        assert len(calls) == runs
+        singles = [
+            measure_impedance(gripper, pd, port=port, **kw) for port in ("endpoint", "motor")
+        ]
+        assert [list(r.valid) for r in both] == [endpoint_valid, motor_valid]
+        for got, want in zip(both, singles):
+            assert np.array_equal(got.H, want.H)
+            assert np.array_equal(got.valid, want.valid)
+            assert np.array_equal(got.omegas, want.omegas)
+
     def test_full_feedforward_reduction_profile(self, gripper):
         # the composite controller cuts low-frequency impedance far past the
         # 17 dB seen on hardware (no friction floor in the model) and never

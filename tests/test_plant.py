@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluidsea.controllers import PDConfig
 from fluidsea.impedance import snap_omega
@@ -11,6 +14,7 @@ from fluidsea.plant import (
     PlantState,
     SimTrace,
     SimulationDivergedError,
+    _make_stepper,
     dahl_rate,
     internal_force,
     simulate,
@@ -125,6 +129,57 @@ class TestStep:
         assert s.f_d == pytest.approx(tr.F_d[-1], abs=1e-15)
 
 
+def _reference_rk4(params):
+    """RK4 step through a nested right-hand side: the form the stepper inlines."""
+    p = params
+
+    def rk4(x, v, xe, ve, fd, fa, kf_int, kf_ext, fe0, feh, fe1, dt):
+        def rhs(x, v, xe, ve, fd, fe):
+            fp = p.b_s * (ve - v) + p.k_s * (xe - x)
+            dv = (fa + kf_int * fp + kf_ext * fe + fp - p.b * v - p.k * x) / p.m
+            dve = (fe - fp - p.b_e * ve - p.k_e * xe - fd) / p.m_e
+            if p.F_c > 0.0 and ve != 0.0:
+                s = 1.0 if ve > 0.0 else -1.0
+                g = 1.0 - (fd / p.F_c) * s
+                if p.n_dahl != 1.0:
+                    dfd = p.sigma * ve * abs(g) ** p.n_dahl * math.copysign(1.0, g)
+                else:
+                    dfd = p.sigma * ve * g
+            else:
+                dfd = 0.0
+            return v, dv, ve, dve, dfd
+
+        h = dt * 0.5
+        k1 = rhs(x, v, xe, ve, fd, fe0)
+        k2 = rhs(*(s + h * d for s, d in zip((x, v, xe, ve, fd), k1)), feh)
+        k3 = rhs(*(s + h * d for s, d in zip((x, v, xe, ve, fd), k2)), feh)
+        k4 = rhs(*(s + dt * d for s, d in zip((x, v, xe, ve, fd), k3)), fe1)
+        w = dt / 6.0
+        out = [
+            s + w * (a + 2.0 * (b + c) + d)
+            for s, a, b, c, d in zip((x, v, xe, ve, fd), k1, k2, k3, k4)
+        ]
+        if p.F_c > 0.0:
+            out[4] = min(max(out[4], -p.F_c), p.F_c)
+        return tuple(out)
+
+    return rk4
+
+
+@pytest.mark.parametrize("n_dahl", [1.0, 0.5, 2.0])
+@pytest.mark.parametrize("hysteresis", [True, False])
+def test_stepper_equals_nested_reference(n_dahl, hysteresis):
+    p = replace(PlantParams.gripper(with_hysteresis=hysteresis), n_dahl=n_dahl)
+    fast, ref = _make_stepper(p), _reference_rk4(p)
+    rng = np.random.default_rng(7)
+    for row in rng.uniform(-1.0, 1.0, size=(2000, 11)).tolist():
+        x, v, xe, ve, fd, fa, kf_int, kf_ext, fe0, feh, fe1 = row
+        if row[0] > 0.8:
+            ve = 0.0  # the Dahl rate is zero at rest
+        args = (x, v, xe, ve, 0.032 * fd, fa, kf_int, kf_ext, fe0, feh, fe1, DT)
+        assert np.array(fast(*args)).tobytes() == np.array(ref(*args)).tobytes()
+
+
 class TestSimulate:
     def test_zero_excitation_zero_trace(self, gripper):
         from fluidsea.controllers import DOBConfig
@@ -147,6 +202,17 @@ class TestSimulate:
         fe = lambda t: 0.2 * math.sin(5.0 * t) + 0.1 * math.sin(0.9 * t)
         tr = simulate(gripper, None, fe, None, duration=20.0, dt=DT)
         assert np.max(np.abs(tr.F_d)) <= gripper.F_c * (1 + 1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        amplitude=st.floats(0.01, 2.0),
+        omega=st.floats(0.5, 300.0),
+        n_dahl=st.sampled_from([1.0, 0.5, 2.0]),
+    )
+    def test_dahl_state_within_bounds_property(self, amplitude, omega, n_dahl):
+        p = replace(PlantParams.gripper(), n_dahl=n_dahl)
+        tr = simulate(p, None, SineSpec(amplitude, omega), None, duration=1.0, dt=DT)
+        assert np.all(np.abs(tr.F_d) <= p.F_c)
 
     def test_open_loop_plant_is_passive(self, gripper):
         # net energy delivered at the endpoint port stays nonnegative from rest
