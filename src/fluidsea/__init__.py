@@ -60,7 +60,6 @@ from .signals import ChirpSpec, ConstantSpec, SineMotionSpec, SineSpec
 from .sysid import (
     FitSpec,
     FrequencyResponse,
-    chirp,
     estimate_frf,
     extract_params,
     fit_tf,

@@ -148,7 +148,10 @@ class FeedforwardConfig:
     def __post_init__(self):
         if self.k_s <= 0:
             raise ValueError("feedforward line stiffness estimate must be > 0")
-        if min(self.b_e, self.k_e, self.b_s) < 0:
+        if self.b_s <= 0:
+            # the estimate's filter (b_e s + k_e)/(b_s s + k_s) must be proper
+            raise ValueError("feedforward line damping estimate must be > 0")
+        if min(self.b_e, self.k_e) < 0:
             raise ValueError("feedforward coefficients must be >= 0")
 
     @classmethod

@@ -36,6 +36,7 @@ from .controllers import (
     PDConfig,
     ProportionalFFConfig,
 )
+from .csvio import write_csv
 from .lti import FrequencyGrid
 from .plant import DEFAULT_DT, PlantParams, simulate
 from .rng import Xorshift64Star
@@ -155,9 +156,7 @@ def _impedance_csv(path: str, fr: sid.FrequencyResponse) -> None:
         ph = np.degrees(np.angle(fr.H))
     data = np.column_stack([fr.omegas, mag, ph])
     data[~fr.valid, 1:] = np.nan
-    with open(path, "w", newline="") as fh:
-        fh.write("omega_rad_s,mag_db,phase_deg\n")
-        np.savetxt(fh, data, fmt="%.9g", delimiter=",")
+    write_csv(path, "omega_rad_s,mag_db,phase_deg", data.T)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +390,8 @@ _DAHL = _Group(DahlEstimate, {
 _FEEDFORWARD = _Group(FeedforwardConfig, {
     "ff_b_e": _Key(default=lambda plant: plant.b_e, attr="b_e"),
     "ff_k_e": _Key(default=lambda plant: plant.k_e, attr="k_e"),
-    "ff_b_s": _Key(default=lambda plant: plant.b_s, attr="b_s"),
+    "ff_b_s": _Key(default=lambda plant: plant.b_s, attr="b_s",
+                   check=(lambda v: v > 0, "must be > 0")),
     "ff_k_s": _Key(default=lambda plant: plant.k_s, attr="k_s"),
     "ff_dahl": _Key({True: _DAHL, False: _NONE}, lambda plant: plant.F_c > 0, attr="dahl"),
 })
@@ -483,8 +483,6 @@ class _SectionReader:
         except ValueError:
             what = "one of " + ", ".join(map(str, kind)) if choices else _KINDS[kind]
             raise self.error(f"{name} must be {what}, got {raw!r}") from None
-        if key.check and not key.check[0](value):
-            raise self.error(f"{name} {key.check[1]}")
         return value
 
     def value(self, name: str, key: _Key):
@@ -493,13 +491,15 @@ class _SectionReader:
         if raw is not None and hz is not None:
             raise self.error(f"give {name} (rad/s) or {key.hz} (Hz), not both")
         if hz is not None:
-            return TWO_PI * self.convert(key.hz, key, hz)
-        if raw is not None:
+            value = TWO_PI * self.convert(key.hz, key, hz)
+        elif raw is not None:
             value = self.convert(name, key, raw)
         elif key.default is _REQUIRED:
             raise self.error(f"missing required key {name!r}")
         else:
             value = key.default(self.plant) if callable(key.default) else key.default
+        if key.check and not key.check[0](value):  # a plant-derived default too
+            raise self.error(f"{name} {key.check[1]}")
         if not isinstance(key.kind, dict):
             return value
         self.chosen.append(f"{name} = {value}")

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .controllers import PDConfig
+from .csvio import write_csv
 from .lti import FrequencyGrid
 from .plant import (
     DEFAULT_DT,
@@ -208,9 +209,7 @@ class WorkLoop:
         return 0.5 * max(self.spread_at(x) for x in xs)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("x_e,F\n")
-            np.savetxt(fh, np.column_stack([self.x_e, self.F]), fmt="%.9g", delimiter=",")
+        write_csv(path, "x_e,F", [self.x_e, self.F])
 
 
 def work_loop(trace: SimTrace, force_column: str = "F_e") -> WorkLoop:
@@ -341,12 +340,11 @@ class ZWidthCurve:
     valid: np.ndarray
 
     def to_csv(self, path) -> None:
-        data = np.column_stack(
-            [self.grid.omegas, self.z_min_db, self.z_max_db, self.width_db]
+        write_csv(
+            path,
+            "omega_rad_s,zmin_db,zmax_db,width_db",
+            [self.grid.omegas, self.z_min_db, self.z_max_db, self.width_db],
         )
-        with open(path, "w", newline="") as fh:
-            fh.write("omega_rad_s,zmin_db,zmax_db,width_db\n")
-            np.savetxt(fh, data, fmt="%.9g", delimiter=",")
 
 
 def zwidth(z_min: FrequencyResponse, z_max: FrequencyResponse) -> ZWidthCurve:

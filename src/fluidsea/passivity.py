@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .lti import (
     AXIS_RTOL,
     EvaluationError,
@@ -178,9 +179,7 @@ class PassivityReport:
         if self.sweep is None:
             raise ValueError("report carries no sweep data")
         omegas, re_y = self.sweep
-        with open(path, "w", newline="") as fh:
-            fh.write("omega,re_Y\n")
-            np.savetxt(fh, np.column_stack([omegas, re_y]), fmt="%.9g", delimiter=",")
+        write_csv(path, "omega,re_Y", [omegas, re_y])
 
 
 def _default_grid() -> FrequencyGrid:

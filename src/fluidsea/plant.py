@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .csvio import write_csv
 from .signals import as_signal
 
 __all__ = [
@@ -316,10 +317,7 @@ class SimTrace:
 
     def to_csv(self, path) -> None:
         """Write the trace with the contractual header, 9 significant digits."""
-        data = np.column_stack([getattr(self, c) for c in TRACE_COLUMNS])
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            np.savetxt(fh, data, fmt="%.9g", delimiter=",")
+        write_csv(path, ",".join(TRACE_COLUMNS), [getattr(self, c) for c in TRACE_COLUMNS])
 
     @classmethod
     def from_csv(cls, path) -> "SimTrace":

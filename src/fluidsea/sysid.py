@@ -15,10 +15,13 @@ per decade.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
+from .csvio import write_csv
 from .lti import FrequencyGrid, Polynomial, RationalTF
 from .plant import DEFAULT_DT, PlantParams, SimTrace, simulate
 from .signals import ChirpSpec
@@ -29,7 +32,6 @@ __all__ = [
     "FrequencyResponse",
     "SubPlantFit",
     "SysIdResult",
-    "chirp",
     "default_grid",
     "estimate_frf",
     "extract_params",
@@ -42,16 +44,6 @@ def default_grid() -> FrequencyGrid:
     """Log grid 0.01 Hz to 1000 Hz, 60 points per decade, in rad/s."""
     f = np.logspace(np.log10(0.01), np.log10(1000.0), 301)
     return FrequencyGrid(2.0 * np.pi * f)
-
-
-def chirp(spec: ChirpSpec, dt: float, allow_nyquist: bool = False) -> np.ndarray:
-    """Sampled logarithmic torque sweep u(k dt), k = 0 .. duration/dt - 1.
-
-    Warns when the end frequency exceeds 80% of the sampling Nyquist rate
-    and raises :class:`~fluidsea.signals.NyquistViolationError` when it
-    reaches Nyquist, unless ``allow_nyquist`` overrides.
-    """
-    return spec.sample(dt, allow_nyquist=allow_nyquist)
 
 
 @dataclass
@@ -102,30 +94,12 @@ class FrequencyResponse:
                 ]
             )
         data[~self.valid, 1:] = np.nan
-        with open(path, "w", newline="") as fh:
-            fh.write("omega_rad_s,re,im,mag_db,phase_deg,sigma_mag\n")
-            np.savetxt(fh, data, fmt="%.9g", delimiter=",")
+        write_csv(path, "omega_rad_s,re,im,mag_db,phase_deg,sigma_mag", data.T)
 
     @classmethod
     def from_tf(cls, tf: RationalTF, grid: FrequencyGrid) -> "FrequencyResponse":
         H = tf.eval_grid(grid.omegas)
         return cls(grid, H, np.zeros(len(grid)))
-
-
-def _linear_correlation(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased sample correlation R_ab(tau) = (1/N) sum a[n+tau] b[n].
-
-    Returned for tau = -max_lag .. max_lag via zero-padded FFT, so delaying
-    both signals together only rescales all lags uniformly.
-    """
-    n = a.size
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
-    fa = np.fft.rfft(a, nfft)
-    fb = np.fft.rfft(b, nfft)
-    full = np.fft.irfft(fa * np.conj(fb), nfft) / n
-    pos = full[: max_lag + 1]
-    neg = full[nfft - max_lag:]
-    return np.concatenate([neg, pos])
 
 
 def estimate_frf(
@@ -147,6 +121,18 @@ def estimate_frf(
     with the effective number of independent segments n_eff = N / max_lag.
     Grid points where Phi_uu falls below 1e-12 of its peak are marked
     invalid.
+
+    The correlations R_ab(tau) = (1/N) sum a[n+tau] b[n] come from one rfft
+    of each signal, zero-padded to the smallest fast length of at least
+    N + max_lag + 1 (no circular wrap reaches a kept lag), and three irfft.
+    The windowed correlations are transformed as a factored DTFT: with
+    tau = -max_lag + q B + r, 0 <= r < B ~ sqrt(2 max_lag + 1),
+
+        sum_tau e^{-j w tau dt} c(tau)
+            = sum_q e^{-j w (q B - max_lag) dt} sum_r e^{-j w r dt} c(q, r),
+
+    one matrix product per sequence against two small tables of complex
+    exponentials, m x B and m x Q for m grid points.
     """
     u = np.asarray(u, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -158,27 +144,30 @@ def estimate_frf(
     if n < 2 * max_lag:
         raise ValueError("record too short for the requested max lag")
 
-    r_uu = _linear_correlation(u, u, max_lag)
-    r_yu = _linear_correlation(y, u, max_lag)
-    r_yy = _linear_correlation(y, y, max_lag)
+    nfft = next_fast_len(n + max_lag + 1, real=True)
+    fu = np.fft.rfft(u, nfft)
+    fy = np.fft.rfft(y, nfft)
+    size = 2 * max_lag + 1
+    seqs = np.empty((3, size))
+    for row, spectrum in zip(seqs, (fu * fu.conj(), fy * fu.conj(), fy * fy.conj())):
+        full = np.fft.irfft(spectrum, nfft) / n
+        row[:max_lag] = full[nfft - max_lag:]
+        row[max_lag:] = full[: max_lag + 1]
 
     taus = np.arange(-max_lag, max_lag + 1)
-    window = 0.5 * (1.0 + np.cos(np.pi * taus / max_lag))
-    wu = window * r_uu
-    wyu = window * r_yu
-    wy = window * r_yy
-    tgrid = taus * dt
+    seqs *= 0.5 * (1.0 + np.cos(np.pi * taus / max_lag))
+    b = math.isqrt(size - 1) + 1
+    q = -(-size // b)
+    blocks = np.zeros((3, q * b))
+    blocks[:, :size] = seqs
+    blocks = blocks.reshape(3, q, b)
+    w = grid.omegas[:, None]
+    e_r = np.exp(-1j * w * (np.arange(b) * dt))
+    e_q = np.exp(-1j * w * ((np.arange(q) * b - max_lag) * dt))
+    phi_uu, phi_yu, phi_yy = (np.sum((e_r @ blk.T) * e_q, axis=1) * dt for blk in blocks)
+    phi_uu, phi_yy = phi_uu.real, phi_yy.real
 
     m = len(grid)
-    phi_uu = np.empty(m)
-    phi_yy = np.empty(m)
-    phi_yu = np.empty(m, dtype=complex)
-    for i, w in enumerate(grid.omegas):
-        e = np.exp(-1j * w * tgrid)
-        phi_uu[i] = np.real(np.dot(e, wu)) * dt
-        phi_yy[i] = np.real(np.dot(e, wy)) * dt
-        phi_yu[i] = np.dot(e, wyu) * dt
-
     floor = 1e-12 * np.max(np.abs(phi_uu))
     valid = np.abs(phi_uu) > floor
     H = np.zeros(m, dtype=complex)
@@ -238,7 +227,6 @@ def fit_tf(
     spec: FitSpec = FitSpec(),
     max_iter: int = 30,
     rel_tol: float = 1e-8,
-    reflect_unstable: bool = False,
 ):
     """Iteratively reweighted linear least-squares rational fit.
 
@@ -333,28 +321,6 @@ def fit_tf(
     num_u = num_c * scale ** -(np.arange(nz, -1, -1, dtype=float))
     den_u = den_c * scale ** -(np.arange(npo, -1, -1, dtype=float))
     tf = RationalTF(Polynomial(num_u), Polynomial(den_u))
-
-    if reflect_unstable:
-        poles = tf.poles()
-        if np.any(poles.real > 0):
-            reflected = np.where(poles.real > 0, -poles.conj(), poles)
-            den_r = np.real(np.poly(reflected))
-            dvals = np.polyval(den_r, 1j * w)
-            wt = np.sqrt(base_w)
-            cols = [wt * (1j * w) ** (nz - i) / dvals for i in range(nz + 1)]
-            A = np.column_stack(cols)
-            rhs = wt * H
-            theta, _, _, _ = np.linalg.lstsq(
-                np.vstack([A.real, A.imag]),
-                np.concatenate([rhs.real, rhs.imag]),
-                rcond=None,
-            )
-            tf = RationalTF(Polynomial(theta), Polynomial(den_r))
-            best_res = float(
-                np.sqrt(
-                    np.sum(base_w * np.abs(tf.eval_grid(w) - H) ** 2) / np.sum(base_w)
-                )
-            )
 
     return tf, FitReport(residual=best_res, iterations=iterations, converged=converged)
 

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -122,8 +123,10 @@ def config_texts(draw):
         maybe("controller", **{draw(st.sampled_from(["lambda", "lambda_hz"])): pos})
         maybe("controller", m_n=pos, b_n=nonneg, k_n=nonneg)
     if ctrl["type"] == "composite":
-        maybe("controller", ff_b_e=nonneg, ff_k_e=nonneg, ff_b_s=nonneg, ff_k_s=pos,
+        maybe("controller", ff_b_e=nonneg, ff_k_e=nonneg, ff_b_s=pos, ff_k_s=pos,
               ff_dahl=st.sampled_from(["true", "false"]))
+        if "ff_b_s" not in ctrl and float(sections["plant"].get("b_s", 1.0)) == 0.0:
+            ctrl["ff_b_s"] = draw(pos)  # the feedforward needs b_s > 0
         if ctrl.get("ff_dahl") == "true":
             maybe("controller", ff_F_c=pos, ff_sigma=pos)
     exc = sections["excitation"]
@@ -340,6 +343,8 @@ duration = 5
             ("[controller]\ntype = composite\nff_dahl = no\nff_F_c = 0.03\n", "ff_F_c"),
             ("[analysis]\nbackdrive_cycles = 3\n", "backdrive_cycles"),
             ("[analysis]\nbackdrive_omega = 0\n", "backdrive_omega"),
+            ("[controller]\ntype = composite\nff_b_s = 0\n", "ff_b_s"),
+            ("[controller]\ntype = composite\n\n[plant]\nb_s = 0\n", "ff_b_s"),
         ],
     )
     def test_malformed_value_exit_code(self, tmp_path, capsys, text, key):
@@ -368,6 +373,22 @@ duration = 5
         assert main(argv + ["--out", str(out), option, value]) == 2
         assert f"{option} must" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_noisy_sysid_manifest_repeats(self, tmp_path):
+        text = (
+            "[excitation]\ntype = chirp\nf0 = 0.5\nf1 = 400\nduration = 10\nnoise_std = 1e-4\n"
+            "\n[analysis]\ntype = sysid\n\n[run]\nseed = {seed}\n"
+        )
+        manifests = []
+        for run, seed in (("a", 7), ("b", 7), ("c", 8)):
+            cfg_path = tmp_path / f"{run}.ini"
+            cfg_path.write_text(text.format(seed=seed))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert main(["sysid", str(cfg_path), "--out", str(tmp_path / run)]) == 0
+            manifests.append((tmp_path / run / "manifest.txt").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert manifests[0] != manifests[2]
 
     def test_workloop_command(self, tmp_path):
         cfg_path = tmp_path / "exp.ini"

@@ -191,6 +191,8 @@ class TestFeedforward:
         with pytest.raises(ValueError):
             FeedforwardConfig(b_e=0.1, k_e=0.1, b_s=0.1, k_s=0.0)
         with pytest.raises(ValueError):
+            FeedforwardConfig(b_e=0.1, k_e=0.1, b_s=0.0, k_s=1.0)
+        with pytest.raises(ValueError):
             DahlEstimate(F_c=0.0, sigma=1.0)
 
     def test_dahl_estimate_tracks_exact_map(self):

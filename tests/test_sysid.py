@@ -11,7 +11,6 @@ from fluidsea.sysid import (
     FitError,
     FitSpec,
     FrequencyResponse,
-    chirp,
     estimate_frf,
     extract_params,
     fit_tf,
@@ -35,7 +34,7 @@ class TestChirp:
 
     def test_zero_amplitude(self):
         spec = ChirpSpec(0.0, 0.1, 10.0, 5.0)
-        assert np.all(chirp(spec, DT) == 0.0)
+        assert np.all(spec.sample(DT) == 0.0)
 
     def test_band_ordering_rejected(self):
         with pytest.raises(ValueError):
@@ -44,16 +43,61 @@ class TestChirp:
     def test_nyquist_guard(self):
         spec = ChirpSpec(0.3, 0.01, 1000.0, 10.0)
         with pytest.raises(NyquistViolationError):
-            chirp(spec, DT)
+            spec.sample(DT)
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
-            chirp(spec, DT, allow_nyquist=True)
+            spec.sample(DT, allow_nyquist=True)
         assert any("Nyquist" in str(x.message) for x in w)
 
     def test_warning_above_80_percent_nyquist(self):
         spec = ChirpSpec(0.3, 0.01, 900.0, 10.0)
         with pytest.warns(UserWarning):
-            chirp(spec, DT)
+            spec.sample(DT)
+
+
+def _loop_frf(u, y, dt, omegas, max_lag):
+    """H as the per-frequency loop computed it before the factored DTFT:
+    correlations by a power-of-two FFT of at least 2N points, then one
+    complex exponential of length 2 max_lag + 1 per grid frequency."""
+    n = u.size
+    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+
+    def corr(a, b):
+        fa, fb = np.fft.rfft(a, nfft), np.fft.rfft(b, nfft)
+        full = np.fft.irfft(fa * np.conj(fb), nfft) / n
+        return np.concatenate([full[nfft - max_lag:], full[: max_lag + 1]])
+
+    taus = np.arange(-max_lag, max_lag + 1)
+    window = 0.5 * (1.0 + np.cos(np.pi * taus / max_lag))
+    wu, wyu = window * corr(u, u), window * corr(y, u)
+    tgrid = taus * dt
+    H = []
+    for w in omegas:
+        e = np.exp(-1j * w * tgrid)
+        H.append((np.dot(e, wyu) * dt) / (np.real(np.dot(e, wu)) * dt))
+    return np.array(H)
+
+
+def _longdouble_frf(u, y, dt, omegas, max_lag):
+    """H from direct correlation sums and a direct DTFT in extended precision."""
+    u, y = u.astype(np.longdouble), y.astype(np.longdouble)
+    n = u.size
+    taus = np.arange(-max_lag, max_lag + 1)
+
+    def corr(a, b):
+        return np.array([
+            np.dot(a[max(t, 0):n + min(t, 0)], b[max(-t, 0):n - max(t, 0)]) for t in taus
+        ]) / n
+
+    pi = 4 * np.arctan(np.longdouble(1))
+    window = 0.5 * (1 + np.cos(pi * taus.astype(np.longdouble) / max_lag))
+    wu, wyu = window * corr(u, u), window * corr(y, u)
+    tgrid = taus.astype(np.longdouble) * np.longdouble(dt)
+    H = []
+    for w in omegas.astype(np.longdouble):
+        e = np.exp(-1j * w * tgrid)
+        H.append(np.sum(e * wyu) / np.sum(e * wu).real)
+    return np.array(H)
 
 
 class TestEstimateFrf:
@@ -109,6 +153,27 @@ class TestEstimateFrf:
         edge = np.median(rel[grid.omegas > 150])
         assert edge > 3.0 * mid
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="long double is no wider than double here",
+    )
+    def test_matches_extended_precision_reference(self):
+        rng = np.random.default_rng(1)
+        n, max_lag = 8000, 1000
+        u = rng.standard_normal(n)
+        y = np.convolve(u, [0.3, 0.5, 0.2, -0.1])[:n] + 0.01 * rng.standard_normal(n)
+        grid = FrequencyGrid(2 * np.pi * np.logspace(-1, np.log10(999.0), 40))
+        want = _longdouble_frf(u, y, DT, grid.omegas, max_lag)
+
+        def rel_err(H):
+            return np.abs(H.astype(np.clongdouble) - want) / np.abs(want)
+
+        got = rel_err(estimate_frf(u, y, DT, grid, max_lag=max_lag).H)
+        loop = rel_err(_loop_frf(u, y, DT, grid.omegas, max_lag))
+        assert np.max(got) <= np.max(loop)
+        assert np.sqrt(np.mean(got**2)) <= np.sqrt(np.mean(loop**2))
+        assert np.max(got) < 1e-12
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             estimate_frf(np.zeros(100), np.zeros(99), DT, FrequencyGrid([1.0]))
@@ -141,16 +206,6 @@ class TestFitTf:
         frf = FrequencyResponse(grid, np.ones(40) * (1 + 0.5j), np.zeros(40))
         with pytest.raises(FitError):
             fit_tf(frf, FitSpec())
-
-    def test_unstable_pole_reflection(self):
-        grid = FrequencyGrid.log_spaced(0.1, 100.0, 120)
-        true = RationalTF(
-            Polynomial([1.0, 2.0, 1.0]),
-            Polynomial(np.polymul([1.0, 0.8, 4.0], [1.0, 3.0, 9.0])),
-        )
-        frf = FrequencyResponse.from_tf(true, grid)
-        tf, _ = fit_tf(frf, FitSpec(), reflect_unstable=True)
-        assert np.all(tf.poles().real <= 1e-9)
 
     def test_hysteresis_raises_fit_residual(self, gripper, gripper_linear):
         spec = ChirpSpec(0.3, 0.05, 400.0, 120.0)
