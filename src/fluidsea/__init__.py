@@ -33,7 +33,6 @@ from .lti import (
     RationalTF,
     discretize_tustin,
     residues_at_imag_poles,
-    routh_hurwitz_stable,
 )
 from .passivity import (
     NominalBounds,
@@ -50,11 +49,8 @@ from .plant import (
     PlantState,
     SimTrace,
     SimulationDivergedError,
-    dahl_rate,
-    internal_force,
     simulate,
     simulate_backdriven,
-    step,
 )
 from .signals import ChirpSpec, ConstantSpec, SineMotionSpec, SineSpec
 from .sysid import (

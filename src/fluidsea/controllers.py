@@ -46,7 +46,6 @@ __all__ = [
     "ProportionalFFConfig",
     "make_controller",
     "pd_command",
-    "proportional_ff",
 ]
 
 
@@ -179,13 +178,8 @@ class CompositeConfig:
 
 
 # ---------------------------------------------------------------------------
-# Stateless command laws
+# Stateless command law
 # ---------------------------------------------------------------------------
-
-
-def proportional_ff(K_f: float, F_meas: float) -> float:
-    """Proportional force-feedback command F_a = K_f * F_meas."""
-    return K_f * F_meas
 
 
 def pd_command(cfg: PDConfig, x: float, v: float) -> float:

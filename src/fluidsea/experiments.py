@@ -181,6 +181,11 @@ def _run_sysid(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
     if not isinstance(spec, ChirpSpec):
         raise ConfigError("[analysis] sysid requires a chirp excitation")
     spec.validate_sampling(cfg.dt, cfg.allow_nyquist)
+    if round(spec.duration / cfg.dt) < 8:  # the spectra's lag window is 1/8 of the record
+        raise ConfigError(
+            f"[excitation] duration must span at least 8 samples of dt = {cfg.dt} "
+            f"for sysid, got {spec.duration}"
+        )
     rng = Xorshift64Star(cfg.seed) if cfg.noise_std > 0 else None
     result = sid.run_sysid(
         cfg.plant, spec, dt=cfg.dt, noise_std=cfg.noise_std, rng=rng

@@ -32,6 +32,7 @@ from .lti import FrequencyGrid
 from .plant import (
     DEFAULT_DT,
     PlantParams,
+    PlantState,
     SimTrace,
     SimulationDivergedError,
     simulate,
@@ -398,8 +399,6 @@ def max_stable_pd(
     the decay threshold has no margin left for long excited runs.
     """
     p = params.without_hysteresis()
-    from .plant import PlantState
-
     x0 = PlantState(x=1e-3, x_e=1e-3)
 
     def stable(kp: float) -> bool:

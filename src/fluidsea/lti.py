@@ -1,9 +1,9 @@
 """Real-coefficient polynomial and rational transfer-function arithmetic.
 
 This module is the numerical substrate for the rest of the package: frequency
-evaluation of rational transfer functions, pole computation, Routh-Hurwitz
-classification, residues at imaginary-axis poles, and Tustin (bilinear)
-discretization into streaming recurrence filters.
+evaluation of rational transfer functions, pole computation, residues at
+imaginary-axis poles, and Tustin (bilinear) discretization into streaming
+recurrence filters.
 
 Conventions
 -----------
@@ -34,10 +34,8 @@ __all__ = [
     "Polynomial",
     "RationalTF",
     "RootSolveError",
-    "RouthResult",
     "discretize_tustin",
     "residues_at_imag_poles",
-    "routh_hurwitz_stable",
 ]
 
 # Relative half-width of the band around the imaginary axis used to classify
@@ -326,118 +324,6 @@ class FrequencyGrid:
 
     def __iter__(self):
         return iter(self.omegas)
-
-
-# ---------------------------------------------------------------------------
-# Routh-Hurwitz classification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RouthResult:
-    """Outcome of the Routh-Hurwitz test.
-
-    ``classification`` is one of ``"stable"``, ``"marginal"``, ``"unstable"``;
-    ``detail`` names the first failing condition (or the reason for a
-    marginal verdict).
-    """
-
-    classification: str
-    detail: str
-
-    @property
-    def is_stable(self) -> bool:
-        return self.classification == "stable"
-
-
-def _routh_sign_changes(coeffs: np.ndarray, eps_sub: float):
-    """Run the Routh array, returning (sign changes, zero-row seen).
-
-    ``eps_sub`` replaces an isolated zero first-column element; pass a small
-    signed value. Full zero rows are replaced via the derivative of the
-    auxiliary polynomial formed from the row above.
-    """
-    n = coeffs.size - 1
-    width = n // 2 + 1
-    rows = np.zeros((n + 1, width + 1))
-    rows[0, : coeffs[0::2].size] = coeffs[0::2]
-    rows[1, : coeffs[1::2].size] = coeffs[1::2]
-    zero_row_seen = False
-    for i in range(2, n + 1):
-        above, above2 = rows[i - 1], rows[i - 2]
-        row_scale = max(np.max(np.abs(above)), np.max(np.abs(above2)), 1e-300)
-        if np.all(np.abs(above) <= 1e-12 * row_scale):
-            # Auxiliary polynomial from the row above the zero row.
-            zero_row_seen = True
-            aux_deg = n - (i - 2)
-            aux = []
-            for j, c in enumerate(above2):
-                aux.extend([c, 0.0])
-            aux = np.array(aux[: aux_deg + 1])
-            daux = np.polyder(aux) if aux.size > 1 else np.array([0.0])
-            repl = daux[0::2]
-            above[:] = 0.0
-            above[: repl.size] = repl
-        pivot = above[0]
-        if abs(pivot) <= 1e-12 * max(np.max(np.abs(above)), 1e-300):
-            pivot = eps_sub
-        new = np.zeros(width + 1)
-        for j in range(width):
-            new[j] = (pivot * above2[j + 1] - above2[0] * above[j + 1]) / pivot
-        rows[i] = new
-        rows[i - 1, 0] = pivot
-    col = rows[: n + 1, 0]
-    signs = np.sign(col[np.abs(col) > 0])
-    changes = int(np.sum(signs[1:] != signs[:-1]))
-    return changes, zero_row_seen
-
-
-def routh_hurwitz_stable(p: Polynomial) -> RouthResult:
-    """Classify a polynomial as stable, marginal, or unstable.
-
-    Stable means all roots in the open left half-plane; marginal means roots
-    on the imaginary axis but none in the open right half-plane. The test is
-    pure coefficient arithmetic (no root finding): the classic Routh array
-    with the auxiliary-polynomial rule for full zero rows and a signed-epsilon
-    substitution for isolated first-column zeros.
-
-    Raises
-    ------
-    MalformedPolynomialError
-        If the polynomial is all-zero or degenerates to a constant.
-    """
-    if not isinstance(p, Polynomial):
-        p = Polynomial(p)
-    if p.degree < 1:
-        raise MalformedPolynomialError("degree must be >= 1 for a stability test")
-    c = p.coeffs / p.coeffs[0]
-
-    # Roots exactly at the origin (trailing zero coefficients) are
-    # imaginary-axis roots; strip them and remember.
-    n_origin = p.trailing_zero_count()
-    if n_origin:
-        c = c[: c.size - n_origin]
-    if c.size == 1:
-        return RouthResult("marginal", f"{n_origin} root(s) at the origin")
-
-    scale = np.max(np.abs(c))
-    changes_pos, zr_pos = _routh_sign_changes(c.copy(), +1e-30 * scale)
-    changes_neg, zr_neg = _routh_sign_changes(c.copy(), -1e-30 * scale)
-    changes = max(changes_pos, changes_neg)
-    zero_row = zr_pos or zr_neg
-
-    if changes > 0:
-        return RouthResult(
-            "unstable", f"{changes} sign change(s) in the first Routh column"
-        )
-    if n_origin or zero_row:
-        why = []
-        if n_origin:
-            why.append(f"{n_origin} root(s) at the origin")
-        if zero_row:
-            why.append("zero row (imaginary-axis root pair)")
-        return RouthResult("marginal", "; ".join(why))
-    return RouthResult("stable", "all first-column entries share one sign")
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,8 @@ def estimate_frf(
     n = u.size
     if max_lag is None:
         max_lag = n // 8
+    if max_lag < 1:
+        raise ValueError("max lag must be >= 1 sample (default: a record of >= 8 samples)")
     if n < 2 * max_lag:
         raise ValueError("record too short for the requested max lag")
 

@@ -345,12 +345,17 @@ duration = 5
             ("[analysis]\nbackdrive_omega = 0\n", "backdrive_omega"),
             ("[controller]\ntype = composite\nff_b_s = 0\n", "ff_b_s"),
             ("[controller]\ntype = composite\n\n[plant]\nb_s = 0\n", "ff_b_s"),
+            ("[excitation]\ntype = chirp\nf1 = 100\nduration = 0.003\n\n[analysis]\ntype = sysid\n",
+             "duration"),
         ],
     )
     def test_malformed_value_exit_code(self, tmp_path, capsys, text, key):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(text)
-        assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        # the subcommand is the config's [analysis] type, as the CLI requires
+        command = re.search(r"\[analysis\]\ntype = (\w+)", text)
+        command = command.group(1) if command else "simulate"
+        assert main([command, str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         section = text[1:text.index("]")]
         assert re.search(rf"\b{key}\b", err)

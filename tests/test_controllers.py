@@ -14,7 +14,6 @@ from fluidsea.controllers import (
     ProportionalFFConfig,
     make_controller,
     pd_command,
-    proportional_ff,
 )
 from fluidsea.impedance import measure_impedance
 from fluidsea.lti import FrequencyGrid, Polynomial, RationalTF, discretize_tustin
@@ -26,11 +25,27 @@ DT = 1.0 / 2000.0
 
 
 class TestProportionalFF:
-    def test_zero_gain(self):
-        assert proportional_ff(0.0, 123.4) == 0.0
+    def test_zero_gain(self, gripper):
+        # K_f = 0 renders the passive plant, bit for bit
+        fe = SineSpec(0.05, 3.0)
+        passive = simulate(gripper, None, fe, None, duration=0.5, dt=DT)
+        for source in ("internal", "external"):
+            cfg = ProportionalFFConfig(0.0, source)
+            closed = simulate(gripper, cfg, fe, None, duration=0.5, dt=DT)
+            for col in ("x", "v", "x_e", "v_e", "F_d"):
+                assert closed.column(col).tobytes() == passive.column(col).tobytes()
 
-    def test_unit_gain(self):
-        assert proportional_ff(1.0, 0.2) == pytest.approx(0.2)
+    def test_unit_gain(self, gripper):
+        # F_a = K_f F_meas, recorded from the stage gain of each source
+        fe = SineSpec(0.05, 3.0)
+        internal = simulate(
+            gripper, ProportionalFFConfig(1.0, "internal"), fe, None, duration=0.5, dt=DT
+        )
+        external = simulate(
+            gripper, ProportionalFFConfig(1.0, "external"), fe, None, duration=0.5, dt=DT
+        )
+        np.testing.assert_array_equal(internal.F_a, internal.F_p)
+        np.testing.assert_array_equal(external.F_a, external.F_e)
 
     @pytest.mark.parametrize("k_f", [1.0, 0.5])
     def test_internal_feedback_equals_scaled_plant(self, gripper_linear, k_f):

@@ -17,7 +17,7 @@ from fluidsea.impedance import (
 )
 from fluidsea.lti import FrequencyGrid
 from fluidsea.passivity import endpoint_impedance_ff
-from fluidsea.plant import SimTrace, dahl_rate
+from fluidsea.plant import SimTrace
 from fluidsea.sysid import FrequencyResponse
 
 DT = 1.0 / 2000.0
@@ -35,6 +35,13 @@ def make_trace(t, x_e, F_e, F_p=None):
     )
 
 
+def _dahl_rate(fd, v, F_c, sigma):
+    """The n = 1 Dahl law, dF_d/dt = sigma v (1 - (F_d/F_c) sgn(v))."""
+    if v == 0.0:
+        return 0.0
+    return sigma * v * (1.0 - (fd / F_c) * (1.0 if v > 0.0 else -1.0))
+
+
 def synth_dahl_loop(F_c, sigma, amplitude, omega=1.0, cycles=4, dt=DT):
     """Pure hysteresis element driven over a displacement cycle."""
     n = int(round(cycles * 2 * math.pi / (omega * dt)))
@@ -42,18 +49,14 @@ def synth_dahl_loop(F_c, sigma, amplitude, omega=1.0, cycles=4, dt=DT):
     x = amplitude * np.sin(omega * t)
     v = amplitude * omega * np.cos(omega * t)
 
-    class P:
-        pass
-
-    p = P()
-    p.F_c, p.sigma, p.n_dahl = F_c, sigma, 1.0
     f = np.zeros(n)
     fd = 0.0
     for i in range(1, n):
-        k1 = dahl_rate(fd, v[i - 1], p)
-        k2 = dahl_rate(fd + 0.5 * dt * k1, v[i - 1], p)
-        k3 = dahl_rate(fd + 0.5 * dt * k2, v[i - 1], p)
-        k4 = dahl_rate(fd + dt * k3, v[i - 1], p)
+        vi = v[i - 1]
+        k1 = _dahl_rate(fd, vi, F_c, sigma)
+        k2 = _dahl_rate(fd + 0.5 * dt * k1, vi, F_c, sigma)
+        k3 = _dahl_rate(fd + 0.5 * dt * k2, vi, F_c, sigma)
+        k4 = _dahl_rate(fd + dt * k3, vi, F_c, sigma)
         fd = min(max(fd + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), -F_c), F_c)
         f[i] = fd
     return make_trace(t, x, f)

@@ -12,7 +12,6 @@ from fluidsea.lti import (
     RationalTF,
     discretize_tustin,
     residues_at_imag_poles,
-    routh_hurwitz_stable,
 )
 
 M, B, K = 1.1116e-3, 2.9814e-2, 0.1642
@@ -104,53 +103,12 @@ class TestPoles:
         den = Polynomial([M, lam * M + B, K, 0.0])
         roots = den.roots()
         assert np.all(roots.real <= AXIS_RTOL)
-        # cross-check with the coefficient-only classification
-        assert routh_hurwitz_stable(den).classification == "marginal"
 
     def test_triple_origin_pole_flagged_non_simple(self):
         tf = RationalTF(Polynomial([1.0]), Polynomial([1.0, 0.0, 0.0, 0.0]))
         items = residues_at_imag_poles(tf)
         assert len(items) == 1
         assert not items[0].simple and items[0].residue is None
-
-
-class TestRouthHurwitz:
-    def test_stable(self):
-        assert routh_hurwitz_stable(Polynomial([1, 1, 1])).classification == "stable"
-
-    def test_unstable(self):
-        res = routh_hurwitz_stable(Polynomial([1, -1]))
-        assert res.classification == "unstable"
-        assert "sign change" in res.detail
-
-    def test_observer_marginal_case(self):
-        # lambda m_n + b = 0 and k_n = 0 leaves roots at 0 and +-j sqrt(K/M)
-        p = Polynomial([M, 0.0, K, 0.0])
-        assert routh_hurwitz_stable(p).classification == "marginal"
-
-    def test_constant_rejected(self):
-        with pytest.raises(MalformedPolynomialError):
-            routh_hurwitz_stable(Polynomial([5.0]))
-
-    def test_symmetric_real_pair_unstable(self):
-        assert routh_hurwitz_stable(Polynomial([1.0, 0.0, -1.0])).classification == "unstable"
-
-    def test_agrees_with_root_signs_on_random_polynomials(self):
-        rng = np.random.default_rng(42)
-        for _ in range(1000):
-            deg = rng.integers(1, 6)
-            roots = []
-            while len(roots) < deg:
-                re = rng.uniform(0.05, 5.0) * rng.choice([-1.0, 1.0])
-                if deg - len(roots) >= 2 and rng.uniform() < 0.5:
-                    im = rng.uniform(0.1, 5.0)
-                    roots += [complex(re, im), complex(re, -im)]
-                else:
-                    roots.append(complex(re, 0.0))
-            coeffs = np.real(np.poly(roots))
-            expected = "stable" if all(r.real < 0 for r in roots) else "unstable"
-            got = routh_hurwitz_stable(Polynomial(coeffs)).classification
-            assert got == expected, f"roots {roots}: got {got}"
 
 
 class TestResidues:

@@ -6,21 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluidsea.controllers import PDConfig
+from fluidsea.controllers import (
+    CompositeConfig,
+    DOBConfig,
+    FeedforwardConfig,
+    PDConfig,
+    ProportionalFFConfig,
+    make_controller,
+)
 from fluidsea.impedance import snap_omega
 from fluidsea.lti import FrequencyGrid
 from fluidsea.plant import (
+    TRACE_COLUMNS,
     PlantParams,
     PlantState,
     SimTrace,
     SimulationDivergedError,
     _make_stepper,
-    dahl_rate,
-    internal_force,
     simulate,
     simulate_backdriven,
-    step,
 )
+from fluidsea.signals import as_signal
 from fluidsea.signals import SineMotionSpec, SineSpec
 from fluidsea.sysid import estimate_frf
 
@@ -41,67 +47,93 @@ class TestParams:
         assert gripper.sigma == pytest.approx(12.8)
 
 
+def _line_force(params, state):
+    """F_p of ``state``, read from the first row of a one-step trace."""
+    return simulate(params, None, None, None, duration=DT, dt=DT, initial_state=state).F_p[0]
+
+
 class TestInternalForce:
     def test_no_relative_motion(self, gripper):
         s = PlantState(x=0.3, v=1.1, x_e=0.3, v_e=1.1)
-        assert internal_force(s, gripper) == 0.0
+        assert _line_force(gripper, s) == 0.0
 
     def test_pure_deflection(self, gripper):
         s = PlantState(x_e=0.1)
-        assert internal_force(s, gripper) == pytest.approx(1.30782, rel=1e-12)
+        assert _line_force(gripper, s) == pytest.approx(1.30782, rel=1e-12)
 
     def test_pure_rate(self, gripper):
         s = PlantState(v_e=1.0)
-        assert internal_force(s, gripper) == pytest.approx(9.2453e-3, rel=1e-12)
+        assert _line_force(gripper, s) == pytest.approx(9.2453e-3, rel=1e-12)
+
+
+class _Ramp:
+    """Endpoint moving from the origin at constant velocity ``v``."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def position(self, t):
+        return self.v * t
+
+    def velocity(self, t):
+        return self.v
+
+    def acceleration(self, t):
+        return 0.0
+
+
+def _dahl_step(params, fd, ve, dt=DT):
+    """The Dahl state after one stepper step with the endpoint held at velocity ve."""
+    kin = (0.5 * dt * ve, ve, dt * ve, ve)
+    rk4 = _make_stepper(params)
+    return rk4(0.0, 0.0, 0.0, ve, fd, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, dt, kin)[4]
 
 
 class TestDahlRate:
     def test_equilibrium_slope(self, gripper):
-        assert dahl_rate(0.0, 1.0, gripper) == pytest.approx(12.8)
+        h = 1e-7
+        assert _dahl_step(gripper, 0.0, 1.0, h) / h == pytest.approx(12.8, rel=1e-4)
 
     def test_saturation_fixed_point(self, gripper):
-        assert dahl_rate(gripper.F_c, 2.0, gripper) == 0.0
+        assert _dahl_step(gripper, gripper.F_c, 2.0) == gripper.F_c
 
     def test_rest_is_fixed_point(self, gripper):
-        assert dahl_rate(0.01, 0.0, gripper) == 0.0
+        assert _dahl_step(gripper, 0.01, 0.0) == 0.01
 
     def test_disabled_element(self, gripper_linear):
-        assert dahl_rate(0.0, 1.0, gripper_linear) == 0.0
+        assert _dahl_step(gripper_linear, 0.0, 1.0) == 0.0
 
     def test_closed_form_trajectory(self, gripper):
         # constant v_e from rest: F_d(dx) = F_c (1 - exp(-sigma dx / F_c))
         p = gripper
-        fd, v, h = 0.0, 1.0, DT
+        v, h = 1.0, DT
         n = int(round((p.F_c / p.sigma) / (v * h)))
-        for _ in range(n):
-            k1 = dahl_rate(fd, v, p)
-            k2 = dahl_rate(fd + 0.5 * h * k1, v, p)
-            k3 = dahl_rate(fd + 0.5 * h * k2, v, p)
-            k4 = dahl_rate(fd + h * k3, v, p)
-            fd += h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        tr = simulate_backdriven(p, None, _Ramp(v), duration=(n + 1) * h, dt=h)
+        fd = tr.F_d[n]
         dx = n * v * h
         want = p.F_c * (1.0 - math.exp(-p.sigma * dx / p.F_c))
         assert fd == pytest.approx(want, rel=1e-4)
         assert fd == pytest.approx(0.02023, abs=2e-5)
 
     def test_general_exponent_matches_n1_at_one(self, gripper):
-        from dataclasses import replace
-
         pn = replace(gripper, n_dahl=1.0 + 1e-12)
         for fd, v in ((0.01, 0.5), (-0.02, -1.2), (0.03, -0.4)):
-            assert dahl_rate(fd, v, pn) == pytest.approx(
-                dahl_rate(fd, v, gripper), rel=1e-9
+            assert _dahl_step(pn, fd, v) - fd == pytest.approx(
+                _dahl_step(gripper, fd, v) - fd, rel=1e-9
             )
 
 
 class TestStep:
     def test_equilibrium(self, gripper):
-        s = step(PlantState(), gripper, 0.0, 0.0, DT)
-        assert s == PlantState()
+        tr = simulate(gripper, None, 0.0, None, duration=2 * DT, dt=DT)
+        after = PlantState(tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1], tr.F_d[1])
+        assert after == PlantState()
 
     def test_dt_domain(self, gripper):
         with pytest.raises(ValueError):
-            step(PlantState(), gripper, 0.0, 0.0, 0.02)
+            simulate(gripper, None, None, None, duration=0.1, dt=0.02)
+        with pytest.raises(ValueError):
+            simulate_backdriven(gripper, None, _Ramp(1.0), duration=0.1, dt=0.02)
 
     def test_dc_force_balance(self, gripper_linear):
         p = gripper_linear
@@ -121,12 +153,11 @@ class TestStep:
     def test_simulate_matches_repeated_step(self, gripper):
         p = gripper
         tr = simulate(p, None, 0.05, None, duration=0.5, dt=DT)
-        s = PlantState()
-        for i in range(len(tr) - 1):
-            s = step(s, p, 0.0, 0.05, DT)
-        assert s.x == pytest.approx(tr.x[-1], abs=1e-15)
-        assert s.v_e == pytest.approx(tr.v_e[-1], abs=1e-15)
-        assert s.f_d == pytest.approx(tr.F_d[-1], abs=1e-15)
+        rk4 = _make_stepper(p)
+        s = (0.0,) * 5
+        for _ in range(len(tr) - 1):
+            s = rk4(*s, 0.0, 0.0, 0.0, 0.05, 0.05, 0.05, DT)
+        assert s == (tr.x[-1], tr.v[-1], tr.x_e[-1], tr.v_e[-1], tr.F_d[-1])
 
 
 def _reference_rk4(params):
@@ -178,6 +209,90 @@ def test_stepper_equals_nested_reference(n_dahl, hysteresis):
             ve = 0.0  # the Dahl rate is zero at rest
         args = (x, v, xe, ve, 0.032 * fd, fa, kf_int, kf_ext, fe0, feh, fe1, DT)
         assert np.array(fast(*args)).tobytes() == np.array(ref(*args)).tobytes()
+
+
+def _reference_backdriven(params, controller, motion, duration, dt=DT, f_ref=None):
+    """Motion-source loop with its own nested-rhs RK4: the form the shared loop replaces."""
+    ctrl = make_controller(controller, dt)
+    fref_fn = as_signal(f_ref)
+    kf_int = getattr(ctrl, "stage_gain_internal", 0.0)
+    kf_ext = getattr(ctrl, "stage_gain_external", 0.0)
+    p = params
+    pos, vel, acc = motion.position, motion.velocity, motion.acceleration
+
+    def rhs(x, v, fd, fa, xe, ve):
+        fp = p.b_s * (ve - v) + p.k_s * (xe - x)
+        dv = (fa + kf_int * fp + fp - p.b * v - p.k * x) / p.m
+        if p.F_c > 0.0 and ve != 0.0:
+            s = 1.0 if ve > 0.0 else -1.0
+            g = 1.0 - (fd / p.F_c) * s
+            if p.n_dahl != 1.0:
+                dfd = p.sigma * ve * abs(g) ** p.n_dahl * math.copysign(1.0, g)
+            else:
+                dfd = p.sigma * ve * g
+        else:
+            dfd = 0.0
+        return v, dv, dfd
+
+    n = int(round(duration / dt))
+    x = v = fd = 0.0
+    half = 0.5 * dt
+    cols = np.empty((n, 11))
+    for i in range(n):
+        t = i * dt
+        xe0, ve0 = float(pos(t)), float(vel(t))
+        fp = p.b_s * (ve0 - v) + p.k_s * (xe0 - x)
+        fe = p.m_e * float(acc(t)) + p.b_e * ve0 + p.k_e * xe0 + fd + fp
+        fref = fref_fn(t)
+        fa = ctrl.step(fp, v, x, fe, fref) + kf_ext * fe
+        cols[i] = (t, x, v, xe0, ve0, fp, fe, fa + kf_int * fp, fd, ctrl.last_f_cmp, fref)
+        xeh, veh = float(pos(t + half)), float(vel(t + half))
+        xe1, ve1 = float(pos(t + dt)), float(vel(t + dt))
+        k1 = rhs(x, v, fd, fa, xe0, ve0)
+        k2 = rhs(x + half * k1[0], v + half * k1[1], fd + half * k1[2], fa, xeh, veh)
+        k3 = rhs(x + half * k2[0], v + half * k2[1], fd + half * k2[2], fa, xeh, veh)
+        k4 = rhs(x + dt * k3[0], v + dt * k3[1], fd + dt * k3[2], fa, xe1, ve1)
+        w = dt / 6.0
+        x += w * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+        v += w * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+        fd += w * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+        if p.F_c > 0.0:
+            fd = min(max(fd, -p.F_c), p.F_c)
+    return {name: cols[:, i].copy() for i, name in enumerate(TRACE_COLUMNS)}
+
+
+def _backdrive_controllers(m):
+    dob = DOBConfig.inertial(m, 2.0 * math.pi * 20.0)
+    return {
+        "passive": None,
+        "dob": dob,
+        "pd": PDConfig(K_p=20.0, K_d=0.4, delay_samples=1),
+        "composite_dahl": CompositeConfig(
+            dob, FeedforwardConfig.from_params(PlantParams.gripper(), include_dahl=True)
+        ),
+        "composite": CompositeConfig(
+            dob, FeedforwardConfig.from_params(PlantParams.gripper(), include_dahl=False)
+        ),
+        "internal": ProportionalFFConfig(0.5, "internal"),
+        "external": ProportionalFFConfig(0.5, "external"),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_backdrive_controllers(1.0)))
+@pytest.mark.parametrize("plant", ["n_dahl=1", "n_dahl=0.5", "linear"])
+def test_backdriven_equals_nested_reference(plant, kind):
+    p = {
+        "n_dahl=1": PlantParams.gripper(),
+        "n_dahl=0.5": replace(PlantParams.gripper(), n_dahl=0.5),
+        "linear": PlantParams.gripper(with_hysteresis=False),
+    }[plant]
+    ctrl = _backdrive_controllers(p.m)[kind]
+    motion = SineMotionSpec(0.5, snap_omega(3.0, DT))
+    f_ref = SineSpec(0.01, 2.0)
+    got = simulate_backdriven(p, ctrl, motion, duration=1.0, dt=DT, f_ref=f_ref)
+    want = _reference_backdriven(p, ctrl, motion, duration=1.0, dt=DT, f_ref=f_ref)
+    for name in TRACE_COLUMNS:
+        assert getattr(got, name).tobytes() == want[name].tobytes(), name
 
 
 class TestSimulate:

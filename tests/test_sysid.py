@@ -178,6 +178,13 @@ class TestEstimateFrf:
         with pytest.raises(ValueError):
             estimate_frf(np.zeros(100), np.zeros(99), DT, FrequencyGrid([1.0]))
 
+    def test_lag_window_of_at_least_one_sample(self):
+        # a record of 7 samples gets the default max_lag = 7 // 8 = 0
+        with pytest.raises(ValueError, match="max lag"):
+            estimate_frf(np.ones(7), np.ones(7), DT, FrequencyGrid([1.0]))
+        with pytest.raises(ValueError, match="max lag"):
+            estimate_frf(np.ones(100), np.ones(100), DT, FrequencyGrid([1.0]), max_lag=0)
+
 
 class TestFitTf:
     def test_exact_model_recovery(self):
