@@ -40,7 +40,6 @@ from .passivity import (
     check_passive,
     dob_admittance,
     endpoint_impedance_ff,
-    low_freq_limits,
     nominal_bounds,
 )
 from .plant import (
@@ -54,7 +53,6 @@ from .plant import (
 )
 from .signals import ChirpSpec, ConstantSpec, SineMotionSpec, SineSpec
 from .sysid import (
-    FitSpec,
     FrequencyResponse,
     estimate_frf,
     extract_params,

@@ -77,14 +77,12 @@ class DOBConfig:
     lam : Q-filter cutoff [rad/s], > 0
     m_n, b_n, k_n : nominal inverse-plant coefficients; the frictionless
         choice (b_n = k_n = 0) targets a pure inertia.
-    windup_limit : optional bound on the observer integrator [Nm s]
     """
 
     lam: float = 20.0
     m_n: float = 1.1116e-3
     b_n: float = 0.0
     k_n: float = 0.0
-    windup_limit: float | None = None
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -283,9 +281,6 @@ class DOBController(BaseController):
         u = F_ref + F_p
         self._i_fp += half * (u + self._u_prev)
         self._u_prev = u
-        if cfg.windup_limit is not None:
-            lim = cfg.windup_limit
-            self._i_fp = min(max(self._i_fp, -lim), lim)
         self._i_x += half * (x + self._x_prev)
         self._x_prev = x
         correction = cfg.lam * (

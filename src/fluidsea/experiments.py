@@ -164,12 +164,26 @@ def _impedance_csv(path: str, fr: sid.FrequencyResponse) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _measured_grid(cfg: ExperimentConfig) -> FrequencyGrid:
+    """The analysis grid, checked to keep distinct points once snapped to dt."""
+    a = cfg.analysis
+    grid = a.grid()
+    try:
+        imp.snap_grid(grid, cfg.dt)
+    except ValueError as exc:
+        raise ConfigError(f"[analysis] grid_points = {a.grid_points} up to grid_max = "
+                          f"{a.grid_max} with [run] dt = {cfg.dt}: {exc}") from exc
+    return grid
+
+
 def _run_simulate(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
     if isinstance(cfg.excitation, ChirpSpec):
         cfg.excitation.validate_sampling(cfg.dt, cfg.allow_nyquist)
-        duration = cfg.excitation.duration
+        duration, key = cfg.excitation.duration, "[excitation] duration"
     else:
-        duration = cfg.duration
+        duration, key = cfg.duration, "[run] duration"
+    if round(duration / cfg.dt) < 1:
+        raise ConfigError(f"{key} must span at least one step of dt = {cfg.dt}, got {duration}")
     trace = simulate(
         cfg.plant, cfg.controller, cfg.excitation, None, duration=duration, dt=cfg.dt
     )
@@ -225,6 +239,7 @@ def _run_impedance(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
             fr = sid.FrequencyResponse.from_tf(tf, grid)
             art.write(name, lambda p: _impedance_csv(p, fr))
         return
+    grid = _measured_grid(cfg)
     fr = imp.measure_impedance(
         cfg.plant, cfg.controller, grid, amplitude=cfg.analysis.force_amplitude, dt=cfg.dt
     )
@@ -265,7 +280,7 @@ def _run_workloop(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
 
 def _run_zwidth(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
     a = cfg.analysis
-    grid = a.grid()
+    grid = _measured_grid(cfg)
     min_ctrl = cfg.controller
     pd_cfg = imp.max_stable_pd(cfg.plant, dt=cfg.dt)
     z_min = imp.measure_impedance(
@@ -300,7 +315,7 @@ def _run_passivity(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
         raise ConfigError("[controller] passivity analysis requires a dob or composite type")
     p = cfg.plant
     bounds = pas.nominal_bounds(p.m, p.b, p.k, ctrl.lam)
-    Y = pas.dob_admittance(p, ctrl, ctrl.lam)
+    Y = pas.dob_admittance(p, ctrl)
     report = pas.check_passive(Y)
     text = [
         "observer admittance passivity report",

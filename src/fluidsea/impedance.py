@@ -51,6 +51,7 @@ __all__ = [
     "max_stable_pd",
     "measure_impedance",
     "quasi_static_backdrive",
+    "snap_grid",
     "snap_omega",
     "work_loop",
     "zwidth",
@@ -69,6 +70,14 @@ def snap_omega(omega: float, dt: float) -> float:
     """Nearest frequency whose period is an integer number of samples."""
     n = max(int(round(2.0 * math.pi / (omega * dt))), 4)
     return 2.0 * math.pi / (n * dt)
+
+
+def snap_grid(grid: FrequencyGrid, dt: float) -> np.ndarray:
+    """``snap_omega`` of each grid point; raises ValueError if two share a period."""
+    omegas = np.array([snap_omega(w, dt) for w in grid.omegas])
+    if np.any(np.diff(omegas) <= 0):
+        raise ValueError(f"grid points snap to the same whole-sample period at dt = {dt}")
+    return omegas
 
 
 def _phasor(sig: np.ndarray, t: np.ndarray, omega: float) -> complex:
@@ -112,12 +121,13 @@ def measure_impedance(
     single-port call gives.
 
     Points where the simulation diverges are marked invalid rather than
-    aborting the sweep.
+    aborting the sweep. A grid whose points snap to the same period raises
+    ``ValueError`` before any simulation.
     """
     ports = (port,) if isinstance(port, str) else tuple(port)
     if not ports or any(p not in _PORT_SIGNALS for p in ports):
         raise ValueError("port must be 'endpoint' or 'motor'")
-    omegas = np.array([snap_omega(w, dt) for w in grid.omegas])
+    omegas = snap_grid(grid, dt)
     H = [np.zeros(omegas.size, dtype=complex) for _ in ports]
     valid = [np.ones(omegas.size, dtype=bool) for _ in ports]
 
@@ -204,11 +214,6 @@ class WorkLoop:
         f_dn = np.interp(x0, xd[idn], fd[idn])
         return abs(f_up - f_dn)
 
-    def amplitude_over(self, lo: float, hi: float, n: int = 41) -> float:
-        """Max half-spread over a displacement window."""
-        xs = np.linspace(lo, hi, n)
-        return 0.5 * max(self.spread_at(x) for x in xs)
-
     def to_csv(self, path) -> None:
         write_csv(path, "x_e,F", [self.x_e, self.F])
 
@@ -270,7 +275,11 @@ def _dahl_branch(x, x0, f0, s, F_c, sigma):
     return s * F_c + (f0 - s * F_c) * np.exp(-sigma * (x - x0) * s / F_c)
 
 
-def fit_dahl(loop: WorkLoop, area_floor_rel: float = 1e-3) -> DahlFit:
+# A loop whose area is below this fraction of its bounding box is not hysteretic.
+_AREA_FLOOR_REL = 1e-3
+
+
+def fit_dahl(loop: WorkLoop) -> DahlFit:
     """Least-squares fit of the closed-form n = 1 branches to a loop.
 
     Both branches are fitted jointly for (F_c, sigma); each branch anchors
@@ -281,14 +290,14 @@ def fit_dahl(loop: WorkLoop, area_floor_rel: float = 1e-3) -> DahlFit:
     ------
     DahlFitError
         If the loop is non-hysteretic, i.e. its area is below
-        ``area_floor_rel`` times the bounding-box area.
+        ``_AREA_FLOOR_REL`` = 1e-3 times the bounding-box area.
     """
     xr = float(np.max(loop.x_e) - np.min(loop.x_e))
     fr = float(np.max(loop.F) - np.min(loop.F))
     box = xr * fr
-    if box <= 0 or abs(loop.area) < area_floor_rel * box:
+    if box <= 0 or abs(loop.area) < _AREA_FLOOR_REL * box:
         raise DahlFitError(
-            f"loop area {loop.area:.3e} below floor {area_floor_rel:.1e} * box {box:.3e}"
+            f"loop area {loop.area:.3e} below floor {_AREA_FLOOR_REL:.1e} * box {box:.3e}"
         )
     dx = np.diff(loop.x_e, append=loop.x_e[:1])
     segments = []
@@ -376,47 +385,52 @@ def zwidth(z_min: FrequencyResponse, z_max: FrequencyResponse) -> ZWidthCurve:
 # ---------------------------------------------------------------------------
 
 
-def max_stable_pd(
-    params: PlantParams,
-    dt: float = DEFAULT_DT,
-    kd_ratio: float = 0.02,
-    delay_samples: int = 1,
-    kp_start: float = 1.0,
-    trial_time: float = 2.0,
-    bisect_iters: int = 12,
-    decay_factor: float = 0.05,
-    backoff: float = 0.8,
-) -> PDConfig:
+# The PD gain sweep's rule: K_d / K_p, the loop's computation delay
+# [samples], the first gain tried [Nm/rad], the trial length [s], the
+# bisection steps, the decay a stable trial must reach, and the back-off.
+_PD_KD_RATIO = 0.02
+_PD_DELAY_SAMPLES = 1
+_PD_KP_START = 1.0
+_PD_TRIAL_TIME = 2.0
+_PD_BISECT_ITERS = 12
+_PD_DECAY_FACTOR = 0.05
+_PD_BACKOFF = 0.8
+
+
+def max_stable_pd(params: PlantParams, dt: float = DEFAULT_DT) -> PDConfig:
     """Largest robustly stable PD hold gains under a declared deterministic rule.
 
-    Sweeps K_p upward by doubling, then bisects, keeping K_d = kd_ratio K_p,
-    with a one-sample computation delay in the loop. A trial releases the
-    linearized plant (hysteresis disabled, so the threshold does not depend
-    on excitation amplitude) from a small motor offset; a gain passes when
-    the response of the last quarter of the trial has decayed below
-    ``decay_factor`` times the first quarter. The bisected boundary gain is
-    finally multiplied by ``backoff``, because a gain bisected exactly onto
-    the decay threshold has no margin left for long excited runs.
+    Sweeps K_p upward by doubling from ``_PD_KP_START`` = 1 Nm/rad, then
+    bisects ``_PD_BISECT_ITERS`` = 12 times, keeping K_d = ``_PD_KD_RATIO``
+    K_p = 0.02 K_p, with a ``_PD_DELAY_SAMPLES`` = 1 sample computation delay
+    in the loop. A trial of ``_PD_TRIAL_TIME`` = 2 s releases the linearized
+    plant (hysteresis disabled, so the threshold does not depend on
+    excitation amplitude) from a small motor offset; a gain passes when the
+    response of the last quarter of the trial has decayed below
+    ``_PD_DECAY_FACTOR`` = 0.05 times the first quarter. The bisected
+    boundary gain is finally multiplied by ``_PD_BACKOFF`` = 0.8, because a
+    gain bisected exactly onto the decay threshold has no margin left for
+    long excited runs.
     """
     p = params.without_hysteresis()
     x0 = PlantState(x=1e-3, x_e=1e-3)
 
     def stable(kp: float) -> bool:
-        cfg = PDConfig(K_p=kp, K_d=kd_ratio * kp, delay_samples=delay_samples)
+        cfg = PDConfig(K_p=kp, K_d=_PD_KD_RATIO * kp, delay_samples=_PD_DELAY_SAMPLES)
         try:
-            tr = simulate(p, cfg, None, None, duration=trial_time, dt=dt, initial_state=x0)
+            tr = simulate(p, cfg, None, None, duration=_PD_TRIAL_TIME, dt=dt, initial_state=x0)
         except SimulationDivergedError:
             return False
         n = len(tr)
         head = float(np.max(np.abs(tr.x[: n // 4])))
         tail = float(np.max(np.abs(tr.x[3 * n // 4:])))
-        return np.isfinite(tail) and tail < decay_factor * head
+        return np.isfinite(tail) and tail < _PD_DECAY_FACTOR * head
 
-    if not stable(kp_start):
+    if not stable(_PD_KP_START):
         raise RuntimeError("PD sweep start gain already unstable")
-    lo = kp_start
+    lo = _PD_KP_START
     hi = None
-    kp = kp_start
+    kp = _PD_KP_START
     for _ in range(40):
         kp *= 2.0
         if stable(kp):
@@ -426,14 +440,14 @@ def max_stable_pd(
             break
     if hi is None:
         raise RuntimeError("PD sweep failed to find an instability bound")
-    for _ in range(bisect_iters):
+    for _ in range(_PD_BISECT_ITERS):
         mid = math.sqrt(lo * hi)
         if stable(mid):
             lo = mid
         else:
             hi = mid
-    kp_final = backoff * lo
-    return PDConfig(K_p=kp_final, K_d=kd_ratio * kp_final, delay_samples=delay_samples)
+    kp_final = _PD_BACKOFF * lo
+    return PDConfig(K_p=kp_final, K_d=_PD_KD_RATIO * kp_final, delay_samples=_PD_DELAY_SAMPLES)
 
 
 def quasi_static_backdrive(

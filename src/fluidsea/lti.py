@@ -254,16 +254,6 @@ class RationalTF:
         """Roots of the stored denominator (multiplicity included)."""
         return self.den.roots()
 
-    def zeros(self) -> np.ndarray:
-        return self.num.roots()
-
-    def dc_gain(self) -> float:
-        """Gain at s = 0; inf if there is a pole at the origin."""
-        d0 = self.den.coeffs[-1]
-        if d0 == 0.0:
-            return float("inf")
-        return float(self.num.coeffs[-1] / d0)
-
     def reduced(self, rtol: float = 1e-8) -> "RationalTF":
         """Cancel common factors between numerator and denominator.
 
@@ -415,17 +405,6 @@ class DiscreteFilter:
         if z.size:
             z[-1] = b[-1] * u - a[-1] * y
         return y
-
-    def dc_gain(self) -> float:
-        den = float(np.sum(self.a))
-        if den == 0.0:
-            return float("inf")
-        return float(np.sum(self.b)) / den
-
-    def freq_response(self, omega: float) -> complex:
-        zinv = np.exp(-1j * omega * self.dt)
-        powers = zinv ** np.arange(self.b.size)
-        return complex(np.dot(self.b, powers) / np.dot(self.a, powers))
 
 
 def discretize_tustin(tf: RationalTF, dt: float) -> DiscreteFilter:

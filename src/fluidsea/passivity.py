@@ -21,8 +21,7 @@ coefficients:
 This module builds Y(s), evaluates the bounds, runs the three-criteria
 numeric test (grid sweep plus an exact even-polynomial certificate for
 criterion (iii)), and provides the closed-form endpoint impedance under
-proportional internal or external force feedback together with its
-low-frequency limits.
+proportional internal or external force feedback.
 """
 
 from __future__ import annotations
@@ -43,33 +42,26 @@ from .lti import (
 from .plant import PlantParams
 
 __all__ = [
-    "LowFrequencyLimits",
     "NominalBounds",
     "PassivityReport",
     "check_passive",
     "dob_admittance",
     "endpoint_impedance_ff",
-    "low_freq_limits",
     "nominal_bounds",
     "real_part_certificate",
 ]
 
 
-def dob_admittance(
-    params: PlantParams, nominal, lam: float
-) -> RationalTF:
+def dob_admittance(params: PlantParams, dob) -> RationalTF:
     """Driving-point admittance V/F_p of the motor plant under the observer.
 
-    ``nominal`` supplies the inverse nominal plant coefficients; it may be a
-    DOBConfig or any object with attributes m_n, b_n, k_n. Coefficients of
-    the returned transfer function are exact in the given parameters (the
-    stored form is monic-denominator normalized). With k_n = 0 the origin
-    pole cancels against the numerator zero; use ``.reduced()`` for the
-    cancelled form.
+    ``dob`` is the observer's DOBConfig: its cutoff ``lam`` and its inverse
+    nominal plant coefficients m_n, b_n, k_n. Coefficients of the returned
+    transfer function are exact in the given parameters (the stored form is
+    monic-denominator normalized). With k_n = 0 the origin pole cancels
+    against the numerator zero; use ``.reduced()`` for the cancelled form.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
-    m_n, b_n, k_n = nominal.m_n, nominal.b_n, nominal.k_n
+    lam, m_n, b_n, k_n = dob.lam, dob.m_n, dob.b_n, dob.k_n
     num = Polynomial([1.0, lam, 0.0])
     den = Polynomial(
         [params.m, lam * m_n + params.b, params.k + lam * b_n, lam * k_n]
@@ -157,10 +149,6 @@ class PassivityReport:
     verdict: str          # "passive" | "non-passive"
     first_violation: str | None
     sweep: tuple | None = None  # (omegas, Re Y) for reporting
-
-    @property
-    def is_passive(self) -> bool:
-        return self.verdict == "passive"
 
     def to_text(self) -> str:
         lines = [
@@ -320,36 +308,3 @@ def endpoint_impedance_ff(
     # Z = F_e / (s X_e) = det(A) / (s det_xe)
     den = Polynomial(np.polymul([1.0, 0.0], det_xe.coeffs))
     return RationalTF(det_a, den).reduced()
-
-
-@dataclass(frozen=True)
-class LowFrequencyLimits:
-    """Closed-form low-frequency endpoint stiffness limits [Nm/rad].
-
-    general : exact limit of s Z_e(s) under internal feedback at gain K_f
-    nonbackdrivable : the k >> k_s, k_e regime (k_s + k_e)
-    backdrivable : the k_s >> k, k_e regime (k/(1+K_f) + k_e)
-    """
-
-    K_f: float
-    general: float
-    nonbackdrivable: float
-    backdrivable: float
-
-
-def low_freq_limits(params: PlantParams, K_f: float = 1.0) -> LowFrequencyLimits:
-    """Low-frequency stiffness rendered at the endpoint under internal feedback.
-
-    ``general`` equals the s -> 0 limit of s * endpoint_impedance_ff
-    (internal, K_f); at K_f = 1 it reduces the driving-point stiffness k by
-    half in the backdrivable regime and not at all in the non-backdrivable
-    regime.
-    """
-    k, k_e, k_s = params.k, params.k_e, params.k_s
-    general = k_e + k * k_s / ((1.0 + K_f) * k_s + k)
-    return LowFrequencyLimits(
-        K_f=K_f,
-        general=general,
-        nonbackdrivable=k_s + k_e,
-        backdrivable=k / (1.0 + K_f) + k_e,
-    )

@@ -107,9 +107,9 @@ class PlantParams:
             raise ValueError("n_dahl must be > 0")
 
     @classmethod
-    def gripper(cls, with_hysteresis: bool = True) -> "PlantParams":
+    def gripper(cls) -> "PlantParams":
         """Identified parameters of the desk-scale diaphragm-gripper rig."""
-        p = cls(
+        return cls(
             m=1.1116e-3,
             b=2.9814e-2,
             k=0.1642,
@@ -118,11 +118,10 @@ class PlantParams:
             k_e=0.0637,
             b_s=9.2453e-3,
             k_s=13.0782,
-            F_c=0.032 if with_hysteresis else 0.0,
-            sigma=12.8 if with_hysteresis else 0.0,
+            F_c=0.032,
+            sigma=12.8,
             n_dahl=1.0,
         )
-        return p
 
     def without_hysteresis(self) -> "PlantParams":
         return replace(self, F_c=0.0, sigma=0.0)
@@ -284,18 +283,6 @@ class SimTrace:
         """Write the trace with the contractual header, 9 significant digits."""
         write_csv(path, ",".join(TRACE_COLUMNS), [getattr(self, c) for c in TRACE_COLUMNS])
 
-    @classmethod
-    def from_csv(cls, path) -> "SimTrace":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if tuple(header) != TRACE_COLUMNS:
-                raise ValueError(f"unexpected trace header {header}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        cols = {name: data[:, i].copy() for i, name in enumerate(TRACE_COLUMNS)}
-        t = cols.pop("t")
-        dt = float(t[1] - t[0]) if t.size > 1 else DEFAULT_DT
-        return cls(dt=dt, t=t, **cols)
-
 
 def simulate(
     params: PlantParams,
@@ -341,7 +328,8 @@ def simulate_backdriven(
 
     Models the bonded-finger backdrive test: the endpoint position is an
     authoritative motion source (``motion`` provides position, velocity and
-    acceleration of x_e over time), and the external force becomes the
+    acceleration of x_e as float functions of a scalar time), and the
+    external force becomes the
     measured output
 
         F_e = m_e a_e + b_e v_e + k_e x_e + F_d + F_p.
@@ -407,14 +395,13 @@ def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) 
             feh = fe_fn(t + half)
             fe1 = fe_fn(t + dt)
         else:
-            xe, ve = float(pos(t)), float(vel(t))
+            xe, ve = pos(t), vel(t)
             fp = b_s * (ve - v) + k_s * (xe - x)
-            fe = m_e * float(acc(t)) + b_e * ve + k_e * xe + fd + fp
+            fe = m_e * acc(t) + b_e * ve + k_e * xe + fd + fp
             fref = fref_fn(t)
             fa = ctrl_step(fp, v, x, fe, fref) + kf_ext * fe
             fa_out = fa + kf_int * fp
-            kin = (float(pos(t + half)), float(vel(t + half)),
-                   float(pos(t + dt)), float(vel(t + dt)))
+            kin = (pos(t + half), vel(t + half), pos(t + dt), vel(t + dt))
         c_t[i] = t
         c_x[i] = x
         c_v[i] = v

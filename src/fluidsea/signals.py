@@ -1,9 +1,10 @@
 """Excitation signal specifications for simulation experiments.
 
-Each spec is a small frozen dataclass with a ``force(t)`` method returning
-the instantaneous value. ``force`` accepts scalars or arrays; the simulator
-evaluates it at the integrator stage times, so signals should be defined in
-continuous time.
+Each spec is a small frozen dataclass of parameters. The waveforms are
+defined once, in :func:`as_signal`, as scalar functions of continuous time
+``t``; the simulator evaluates them at the integrator stage times. The
+prescribed endpoint motion of :class:`SineMotionSpec` is likewise scalar, in
+its ``position``, ``velocity`` and ``acceleration`` methods.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["ChirpSpec", "ConstantSpec", "NyquistViolationError", "SineSpec", "as_signal"]
 
@@ -39,28 +38,12 @@ class ChirpSpec:
     f0: float
     f1: float
     duration: float
-    sweep: str = "logarithmic"
 
     def __post_init__(self):
         if not (0 < self.f0 < self.f1):
             raise ValueError("require 0 < f0 < f1")
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
-        if self.sweep != "logarithmic":
-            raise ValueError("only logarithmic sweeps are supported")
-
-    def phase(self, t):
-        """Accumulated phase [rad]; phase(0) = 0."""
-        ratio = self.f1 / self.f0
-        tau = self.duration / math.log(ratio)
-        return 2.0 * math.pi * self.f0 * tau * (np.exp(np.asarray(t) / tau) - 1.0)
-
-    def instantaneous_frequency(self, t):
-        """Instantaneous frequency [Hz] at time t."""
-        return self.f0 * (self.f1 / self.f0) ** (np.asarray(t) / self.duration)
-
-    def force(self, t):
-        return self.amplitude * np.sin(self.phase(t))
 
     def validate_sampling(self, dt: float, allow_nyquist: bool = False) -> None:
         """Check the end frequency against the sampling rate.
@@ -81,12 +64,6 @@ class ChirpSpec:
                 stacklevel=2,
             )
 
-    def sample(self, dt: float, allow_nyquist: bool = False) -> np.ndarray:
-        """Sampled sweep on the grid t = 0, dt, 2 dt, ..., < duration."""
-        self.validate_sampling(dt, allow_nyquist)
-        n = int(round(self.duration / dt))
-        return np.asarray(self.force(np.arange(n) * dt), dtype=float)
-
 
 @dataclass(frozen=True)
 class SineSpec:
@@ -99,18 +76,12 @@ class SineSpec:
         if self.omega <= 0:
             raise ValueError("omega must be > 0")
 
-    def force(self, t):
-        return self.amplitude * np.sin(self.omega * np.asarray(t))
-
 
 @dataclass(frozen=True)
 class ConstantSpec:
     """Constant force [Nm]."""
 
     value: float
-
-    def force(self, t):
-        return self.value * np.ones_like(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -119,7 +90,7 @@ class SineMotionSpec:
 
     Used by the kinematic backdrive mode, where the endpoint position is an
     authoritative source (one finger backdriving the other) and the external
-    force is a measured output.
+    force is a measured output. The methods take a scalar time.
     """
 
     amplitude: float
@@ -129,22 +100,24 @@ class SineMotionSpec:
         if self.omega <= 0:
             raise ValueError("omega must be > 0")
 
-    def position(self, t):
-        return self.amplitude * np.sin(self.omega * np.asarray(t))
+    def position(self, t: float) -> float:
+        return self.amplitude * math.sin(self.omega * t)
 
-    def velocity(self, t):
-        return self.amplitude * self.omega * np.cos(self.omega * np.asarray(t))
+    def velocity(self, t: float) -> float:
+        return self.amplitude * self.omega * math.cos(self.omega * t)
 
-    def acceleration(self, t):
-        return -self.amplitude * self.omega**2 * np.sin(self.omega * np.asarray(t))
+    def acceleration(self, t: float) -> float:
+        return -self.amplitude * self.omega**2 * math.sin(self.omega * t)
 
 
 def as_signal(spec):
     """Coerce a spec, callable, number, or None into a scalar function of t.
 
-    The known spec types get hand-built closures over ``math`` functions;
-    the simulator evaluates the excitation three times per integration step,
-    so this path is deliberately allocation-free.
+    This is where each spec's waveform is defined: the chirp's phase is
+    2 pi f0 tau (exp(t/tau) - 1) with tau = duration / ln(f1/f0). The
+    closures use ``math`` functions only; the simulator evaluates the
+    excitation three times per integration step, so this path is
+    deliberately allocation-free.
     """
     if spec is None:
         return lambda t: 0.0
@@ -161,7 +134,5 @@ def as_signal(spec):
         return lambda t: value
     if callable(spec):
         return spec
-    if hasattr(spec, "force"):
-        return lambda t: float(spec.force(t))
     value = float(spec)
     return lambda t: value

@@ -28,7 +28,6 @@ from .signals import ChirpSpec
 
 __all__ = [
     "ChirpSpec",
-    "FitSpec",
     "FrequencyResponse",
     "SubPlantFit",
     "SysIdResult",
@@ -188,20 +187,13 @@ def estimate_frf(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitSpec:
-    """Order and band for the whole-system rational fit."""
-
-    n_zeros: int = 2
-    n_poles: int = 4
-    band: tuple = (0.0, 400.0)
-    weighting: str = "inverse_variance"
-
-    def __post_init__(self):
-        if self.n_zeros >= self.n_poles:
-            raise ValueError("require n_zeros < n_poles")
-        if self.weighting not in ("inverse_variance", "uniform"):
-            raise ValueError("weighting must be 'inverse_variance' or 'uniform'")
+# The whole-system endpoint fit: numerator and denominator orders, the band
+# [rad/s] of valid points it uses, and its iteration limits.
+_FIT_ZEROS = 2
+_FIT_POLES = 4
+_FIT_BAND = (0.0, 400.0)
+_FIT_MAX_ITER = 30
+_FIT_REL_TOL = 1e-8
 
 
 @dataclass
@@ -215,30 +207,24 @@ class FitError(RuntimeError):
     """Rational fit failed (rank deficiency or too few valid points)."""
 
 
-def _base_weights(frf: FrequencyResponse, sel: np.ndarray, spec: FitSpec) -> np.ndarray:
-    if spec.weighting == "uniform":
-        return np.ones(int(np.sum(sel)))
-    sig = frf.sigma[sel]
+def _floored_sigma(frf: FrequencyResponse, sel: np.ndarray) -> np.ndarray:
+    """The selected points' sigma, floored at 1e-3 of their median |H|."""
     floor = 1e-3 * np.median(np.abs(frf.H[sel])) + 1e-300
-    sig = np.maximum(sig, floor)
-    return 1.0 / sig**2
+    return np.maximum(frf.sigma[sel], floor)
 
 
-def fit_tf(
-    frf: FrequencyResponse,
-    spec: FitSpec = FitSpec(),
-    max_iter: int = 30,
-    rel_tol: float = 1e-8,
-):
+def fit_tf(frf: FrequencyResponse):
     """Iteratively reweighted linear least-squares rational fit.
 
+    Fits ``_FIT_ZEROS`` = 2 zeros over ``_FIT_POLES`` = 4 poles to the valid
+    points in ``_FIT_BAND`` = 0-400 rad/s, with inverse-variance weights.
     Uses Sanathanan-Koerner reweighting: each pass solves the linearized
     problem min sum W |N(jw) - D(jw) H|^2 with W divided by |D_prev(jw)|^2,
     monic highest denominator coefficient, frequencies pre-scaled for
-    conditioning. Iteration stops after ``max_iter`` passes, when the
-    parameter vector moves less than ``rel_tol``, or when the true weighted
-    residual stops improving (the best model seen is returned, so the
-    reported residual is non-increasing).
+    conditioning. Iteration stops after ``_FIT_MAX_ITER`` = 30 passes, when
+    the parameter vector moves less than ``_FIT_REL_TOL`` = 1e-8 relative, or
+    when the true weighted residual stops improving (the best model seen is
+    returned, so the reported residual is non-increasing).
 
     Returns (RationalTF, FitReport).
 
@@ -248,20 +234,19 @@ def fit_tf(
         If fewer than 4 (n_poles + n_zeros) valid points lie in the band or
         the normal equations are rank deficient.
     """
+    nz, npo = _FIT_ZEROS, _FIT_POLES
     w_all = frf.omegas
-    sel = frf.valid & (w_all >= spec.band[0]) & (w_all <= spec.band[1])
-    if np.sum(sel) < 4 * (spec.n_poles + spec.n_zeros):
+    sel = frf.valid & (w_all >= _FIT_BAND[0]) & (w_all <= _FIT_BAND[1])
+    if np.sum(sel) < 4 * (npo + nz):
         raise FitError(
-            f"only {int(np.sum(sel))} valid points in band, need "
-            f">= {4 * (spec.n_poles + spec.n_zeros)}"
+            f"only {int(np.sum(sel))} valid points in band, need >= {4 * (npo + nz)}"
         )
     w = w_all[sel]
     H = frf.H[sel]
-    base_w = _base_weights(frf, sel, spec)
+    base_w = 1.0 / _floored_sigma(frf, sel) ** 2  # inverse variance
 
     scale = np.exp(np.mean(np.log(w)))  # geometric mean for conditioning
     s = 1j * w / scale
-    nz, npo = spec.n_zeros, spec.n_poles
 
     # Unknowns: numerator c_0..c_nz (descending), denominator d_1..d_npo
     # (descending, after the fixed monic leading 1).
@@ -285,7 +270,7 @@ def fit_tf(
     best_res = np.inf
     iterations = 0
     converged = False
-    for it in range(max_iter):
+    for it in range(_FIT_MAX_ITER):
         iterations = it + 1
         A, rhs = design(dprev_abs2)
         theta, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
@@ -310,7 +295,7 @@ def fit_tf(
             change = np.linalg.norm(theta - theta_prev) / max(
                 np.linalg.norm(theta), 1e-300
             )
-            if change < rel_tol:
+            if change < _FIT_REL_TOL:
                 converged = True
                 break
         if res > 1.01 * best_res and it > 2:
@@ -330,6 +315,12 @@ def fit_tf(
 # ---------------------------------------------------------------------------
 # Sub-plant parameter extraction
 # ---------------------------------------------------------------------------
+
+
+# Sub-plant fits: the band [rad/s] they use and the relative residual above
+# which a fit flags the parameter set.
+_EXTRACT_BAND = (0.1, 400.0)
+_RESIDUAL_THRESHOLD = 0.05
 
 
 @dataclass
@@ -375,29 +366,29 @@ def _weighted_lstsq(A: np.ndarray, rhs: np.ndarray, wts: np.ndarray):
     return theta, resid
 
 
-def _second_order_inverse_fit(frf: FrequencyResponse, band) -> SubPlantFit:
+def _second_order_inverse_fit(frf: FrequencyResponse) -> SubPlantFit:
     """Fit H ~ 1/(m s^2 + b s + k) via the relative equation error.
 
     Minimizes sum w |(m s^2 + b s + k) H - 1|^2, which is linear in the
     parameters and exact for noiseless data.
     """
-    sel = frf.valid & (frf.omegas >= band[0]) & (frf.omegas <= band[1])
+    sel = frf.valid & (frf.omegas >= _EXTRACT_BAND[0]) & (frf.omegas <= _EXTRACT_BAND[1])
     w = frf.omegas[sel]
     H = frf.H[sel]
     s = 1j * w
     A = np.column_stack([H * s**2, H * s, H])
-    wts = _band_weights(frf, sel)
+    wts = 1.0 / _floored_sigma(frf, sel)
     theta, resid = _weighted_lstsq(A, np.ones_like(H), wts)
     return SubPlantFit(coeffs=theta, residual=resid)
 
 
-def _line_fit(frf: FrequencyResponse, band) -> SubPlantFit:
+def _line_fit(frf: FrequencyResponse) -> SubPlantFit:
     """Fit H ~ b_s s + k_s directly (linear in both parameters)."""
-    sel = frf.valid & (frf.omegas >= band[0]) & (frf.omegas <= band[1])
+    sel = frf.valid & (frf.omegas >= _EXTRACT_BAND[0]) & (frf.omegas <= _EXTRACT_BAND[1])
     w = frf.omegas[sel]
     H = frf.H[sel]
     A = np.column_stack([1j * w, np.ones_like(H)])
-    wts = _band_weights(frf, sel)
+    wts = 1.0 / _floored_sigma(frf, sel)
     theta, resid = _weighted_lstsq(A, H, wts)
     # Normalize the residual by the response scale so thresholds are
     # comparable with the inverse fits.
@@ -405,18 +396,10 @@ def _line_fit(frf: FrequencyResponse, band) -> SubPlantFit:
     return SubPlantFit(coeffs=theta, residual=resid / scale)
 
 
-def _band_weights(frf: FrequencyResponse, sel: np.ndarray) -> np.ndarray:
-    sig = frf.sigma[sel]
-    floor = 1e-3 * np.median(np.abs(frf.H[sel])) + 1e-300
-    return 1.0 / np.maximum(sig, floor)
-
-
 def extract_params(
     motor: FrequencyResponse,
     finger: FrequencyResponse,
     line: FrequencyResponse,
-    band=(0.1, 400.0),
-    residual_threshold: float = 0.05,
 ) -> SysIdExtraction:
     """Lumped parameters from the three sub-plant frequency responses.
 
@@ -425,17 +408,17 @@ def extract_params(
     line : F_p / (X_e - X), fit to b_s s + k_s
 
     All three fits are frequency-weighted linear least squares restricted to
-    ``band``; a sub-fit whose relative residual exceeds
-    ``residual_threshold`` flags the parameter set (nonlinearity or a poor
-    record), without blocking the return.
+    ``_EXTRACT_BAND`` = 0.1-400 rad/s; a sub-fit whose relative residual
+    exceeds ``_RESIDUAL_THRESHOLD`` = 0.05 flags the parameter set
+    (nonlinearity or a poor record), without blocking the return.
     """
-    mf = _second_order_inverse_fit(motor, band)
-    ff = _second_order_inverse_fit(finger, band)
-    lf = _line_fit(line, band)
+    mf = _second_order_inverse_fit(motor)
+    ff = _second_order_inverse_fit(finger)
+    lf = _line_fit(line)
     m, b, k = (float(v) for v in mf.coeffs)
     m_e, b_e, k_e = (float(v) for v in ff.coeffs)
     b_s, k_s = (float(v) for v in lf.coeffs)
-    flagged = max(mf.residual, ff.residual, lf.residual) > residual_threshold
+    flagged = max(mf.residual, ff.residual, lf.residual) > _RESIDUAL_THRESHOLD
     params = PlantParams(
         m=m, b=b, k=k, m_e=m_e, b_e=b_e, k_e=k_e, b_s=b_s, k_s=k_s
     )
@@ -463,8 +446,6 @@ def run_sysid(
     params: PlantParams,
     spec: ChirpSpec | None = None,
     dt: float = DEFAULT_DT,
-    grid: FrequencyGrid | None = None,
-    fit_spec: FitSpec = FitSpec(),
     noise_std: float = 0.0,
     rng=None,
 ) -> SysIdResult:
@@ -472,14 +453,14 @@ def run_sysid(
 
     Runs the passive chirp experiment, estimates the three sub-plant
     responses and the whole endpoint response, extracts the lumped
-    parameters, and fits the 2-zero/4-pole endpoint model. Optional additive
+    parameters, and fits the 2-zero/4-pole endpoint model, all on
+    :func:`default_grid`. Optional additive
     measurement noise (standard deviation ``noise_std``, applied to the
     recorded signals) is drawn from the supplied deterministic generator.
     """
     if spec is None:
         spec = ChirpSpec(amplitude=0.3, f0=0.01, f1=1000.0, duration=600.0)
-    if grid is None:
-        grid = default_grid()
+    grid = default_grid()
     spec.validate_sampling(dt, allow_nyquist=True)
     trace = simulate(params, None, spec, None, duration=spec.duration, dt=dt)
 
@@ -502,7 +483,7 @@ def run_sysid(
     endpoint_frf = estimate_frf(f_e, x_e, dt, grid)
 
     extraction = extract_params(motor_frf, finger_frf, line_frf)
-    whole_fit, whole_report = fit_tf(endpoint_frf, fit_spec)
+    whole_fit, whole_report = fit_tf(endpoint_frf)
     return SysIdResult(
         trace=trace,
         motor_frf=motor_frf,

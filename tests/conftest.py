@@ -12,4 +12,4 @@ def gripper():
 @pytest.fixture(scope="session")
 def gripper_linear():
     """Identified desk-rig parameters, hysteresis disabled."""
-    return PlantParams.gripper(with_hysteresis=False)
+    return PlantParams.gripper().without_hysteresis()

@@ -347,6 +347,14 @@ duration = 5
             ("[controller]\ntype = composite\n\n[plant]\nb_s = 0\n", "ff_b_s"),
             ("[excitation]\ntype = chirp\nf1 = 100\nduration = 0.003\n\n[analysis]\ntype = sysid\n",
              "duration"),
+            # grids whose points snap to one whole-sample period at dt = 0.01
+            ("[analysis]\ntype = impedance\ngrid_min = 50\ngrid_max = 100\ngrid_points = 30\n"
+             "\n[run]\ndt = 0.01\n", "grid_points"),
+            ("[analysis]\ntype = zwidth\ngrid_min = 50\ngrid_max = 100\ngrid_points = 30\n"
+             "\n[run]\ndt = 0.01\n", "grid_max"),
+            # runs shorter than one step
+            ("[run]\nduration = 0.0001\n", "duration"),
+            ("[excitation]\ntype = chirp\nf1 = 100\nduration = 0.0001\n", "duration"),
         ],
     )
     def test_malformed_value_exit_code(self, tmp_path, capsys, text, key):
@@ -360,6 +368,13 @@ duration = 5
         section = text[1:text.index("]")]
         assert re.search(rf"\b{key}\b", err)
         assert err.count(f"[{section}]") == 1
+
+    def test_duration_checked_after_dt_override(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text("[run]\nduration = 0.004\n")  # 8 steps at the default dt
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "--out", str(out), "--dt", "0.01"]) == 2
+        assert "[run] duration" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, option, value",

@@ -147,16 +147,6 @@ class TestDOB:
         with pytest.raises(ValueError):
             ctrl.step(float("nan"), 0.0, 0.0, 0.0, 0.0)
 
-    def test_windup_guard_optional(self):
-        lam = 20.0
-        guarded = make_controller(DOBConfig(lam=lam, m_n=0.0, windup_limit=0.5), DT)
-        free = make_controller(DOBConfig(lam=lam, m_n=0.0), DT)
-        for _ in range(4000):
-            fa_g = guarded.step(1.0, 0.0, 0.0, 0.0, 0.0)
-            fa_f = free.step(1.0, 0.0, 0.0, 0.0, 0.0)
-        assert fa_g == pytest.approx(lam * 0.5)
-        assert fa_f > fa_g
-
     def test_determinism(self, gripper):
         cfg = DOBConfig.inertial(gripper.m, 20.0)
         fe = SineSpec(0.1, 3.0)

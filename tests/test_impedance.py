@@ -62,11 +62,28 @@ def synth_dahl_loop(F_c, sigma, amplitude, omega=1.0, cycles=4, dt=DT):
     return make_trace(t, x, f)
 
 
+def half_spread_over(loop, lo, hi, n=41):
+    """Largest half-spread between a loop's branches over a displacement window."""
+    return 0.5 * max(loop.spread_at(x) for x in np.linspace(lo, hi, n))
+
+
 class TestSnap:
     def test_integer_samples_per_period(self):
         w = snap_omega(3.0, DT)
         n = 2 * math.pi / (w * DT)
         assert n == pytest.approx(round(n), abs=1e-9)
+
+    def test_colliding_grid_rejected_before_any_simulation(self, gripper, monkeypatch):
+        import fluidsea.impedance as imp
+
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulated a grid that cannot be measured")
+
+        monkeypatch.setattr(imp, "simulate", no_simulate)
+        # at dt = 0.01 both points round to a 13-sample period
+        grid = FrequencyGrid(np.array([49.0, 50.0]))
+        with pytest.raises(ValueError, match="same whole-sample period"):
+            measure_impedance(gripper, None, grid, dt=0.01)
 
 
 class TestMeasureImpedance:
@@ -210,7 +227,7 @@ class TestWorkLoop:
 
     def test_spread_window_query(self):
         loop = work_loop(synth_dahl_loop(0.032, 12.8, 0.5))
-        assert loop.amplitude_over(-0.2, 0.2) == pytest.approx(0.032, rel=0.01)
+        assert half_spread_over(loop, -0.2, 0.2) == pytest.approx(0.032, rel=0.01)
 
 
 class TestFitDahl:

@@ -7,7 +7,6 @@ from fluidsea.passivity import (
     check_passive,
     dob_admittance,
     endpoint_impedance_ff,
-    low_freq_limits,
     nominal_bounds,
     real_part_certificate,
 )
@@ -21,10 +20,15 @@ def dc_stiffness(tf):
     return tf.num.coeffs[-1] / tf.den.coeffs[-2]
 
 
+def internal_dc_stiffness(p, K_f):
+    """Closed-form s Z_e(s) at s -> 0 under internal force feedback at gain K_f."""
+    return p.k_e + p.k * p.k_s / ((1.0 + K_f) * p.k_s + p.k)
+
+
 class TestDobAdmittance:
     def test_coefficients_exact(self, gripper_linear):
         p = gripper_linear
-        Y = dob_admittance(p, DOBConfig(lam=LAM, m_n=p.m, b_n=0.0, k_n=0.0), LAM)
+        Y = dob_admittance(p, DOBConfig(lam=LAM, m_n=p.m, b_n=0.0, k_n=0.0))
         np.testing.assert_allclose(
             Y.den.coeffs * p.m, [1.1116e-3, 5.2046e-2, 0.1642, 0.0], rtol=1e-12
         )
@@ -33,17 +37,17 @@ class TestDobAdmittance:
     def test_observer_off_limit(self, gripper_linear):
         p = gripper_linear
         tiny = 1e-9
-        Y = dob_admittance(p, DOBConfig(lam=tiny, m_n=p.m), tiny).reduced()
+        Y = dob_admittance(p, DOBConfig(lam=tiny, m_n=p.m)).reduced()
         passive_motor = RationalTF(Polynomial([1.0, 0.0]), Polynomial([p.m, p.b, p.k]))
         for w in (0.1, 1.0, 10.0, 100.0):
             assert Y.eval(w) == pytest.approx(passive_motor.eval(w), rel=1e-6)
 
     def test_zero_nominal_stiffness_cancels_origin_pole(self, gripper_linear):
         p = gripper_linear
-        Y = dob_admittance(p, DOBConfig(lam=LAM, m_n=p.m, b_n=0.01, k_n=0.0), LAM)
+        Y = dob_admittance(p, DOBConfig(lam=LAM, m_n=p.m, b_n=0.01, k_n=0.0))
         red = Y.reduced()
-        dc = red.dc_gain()
-        assert np.isfinite(dc)
+        assert red.den.coeffs[-1] != 0.0  # no pole left at the origin
+        dc = red.num.coeffs[-1] / red.den.coeffs[-1]
         assert dc == pytest.approx(LAM / (p.k + LAM * 0.01), rel=1e-9)
 
 
@@ -76,32 +80,28 @@ class TestNominalBounds:
 class TestCheckPassive:
     def test_first_order_lag(self):
         tf = RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0]))
-        assert check_passive(tf).is_passive
+        assert check_passive(tf).verdict == "passive"
 
     def test_just_below_inertia_bound_fails_real_part(self, gripper_linear):
         p = gripper_linear
         nb = nominal_bounds(p.m, p.b, p.k, LAM)
-        Y = dob_admittance(
-            p, DOBConfig(lam=LAM, m_n=nb.m_n_min - 1e-5, b_n=0.0, k_n=0.0), LAM
-        )
+        Y = dob_admittance(p, DOBConfig(lam=LAM, m_n=nb.m_n_min - 1e-5, b_n=0.0, k_n=0.0))
         rep = check_passive(Y)
-        assert not rep.is_passive
+        assert rep.verdict == "non-passive"
         assert "(iii)" in rep.first_violation
 
     def test_double_origin_pole_fails_residue_criterion(self, gripper_linear):
         p = gripper_linear
-        Y = dob_admittance(
-            p, DOBConfig(lam=LAM, m_n=-p.b / LAM, b_n=-p.k / LAM, k_n=0.0), LAM
-        )
+        Y = dob_admittance(p, DOBConfig(lam=LAM, m_n=-p.b / LAM, b_n=-p.k / LAM, k_n=0.0))
         rep = check_passive(Y)
-        assert not rep.is_passive
+        assert rep.verdict == "non-passive"
         assert "(ii)" in rep.first_violation
 
     def test_certificate_matches_closed_form(self, gripper_linear):
         # numerator of Re Y(jw) is lam w^2 (k + lam b_n - k_n) + w^4 (b + lam m_n - lam m)
         p = gripper_linear
         m_n, b_n, k_n = 0.8e-3, 5e-3, 0.05
-        Y = dob_admittance(p, DOBConfig(lam=LAM, m_n=m_n, b_n=b_n, k_n=k_n), LAM)
+        Y = dob_admittance(p, DOBConfig(lam=LAM, m_n=m_n, b_n=b_n, k_n=k_n))
         cert = real_part_certificate(Y)
         # stored tf is monic-denominator scaled by 1/m in num and den: the
         # certificate then carries 1/m^2.
@@ -112,7 +112,7 @@ class TestCheckPassive:
 
     def test_report_serialization(self, gripper_linear, tmp_path):
         p = gripper_linear
-        Y = dob_admittance(p, DOBConfig(lam=LAM, m_n=p.m), LAM)
+        Y = dob_admittance(p, DOBConfig(lam=LAM, m_n=p.m))
         rep = check_passive(Y)
         text = rep.to_text()
         assert "verdict: passive" in text
@@ -124,7 +124,7 @@ class TestCheckPassive:
     def test_residue_formula_on_reduced_admittance(self, gripper_linear):
         p = gripper_linear
         cfg = DOBConfig(lam=LAM, m_n=p.m, b_n=-p.k / LAM, k_n=0.0)
-        items = residues_at_imag_poles(dob_admittance(p, cfg, LAM))
+        items = residues_at_imag_poles(dob_admittance(p, cfg))
         assert len(items) == 1
         assert items[0].residue.real == pytest.approx(
             LAM / (LAM * p.m + p.b), rel=1e-9
@@ -155,9 +155,8 @@ class TestCheckPassive:
             Y = dob_admittance(
                 type("P", (), {"m": m, "b": b, "k": k})(),
                 DOBConfig(lam=lam, m_n=m_n, b_n=b_n, k_n=k_n),
-                lam,
             )
-            got = check_passive(Y, grid).is_passive
+            got = check_passive(Y, grid).verdict == "passive"
             assert got == want, (m, b, k, lam, m_n, b_n, k_n)
 
 
@@ -192,9 +191,7 @@ class TestEndpointImpedance:
                 b_s=10 ** rng.uniform(-3, -1), k_s=10 ** rng.uniform(0, 2),
             )
             Z = endpoint_impedance_ff(p, 1.0, "internal")
-            assert dc_stiffness(Z) == pytest.approx(
-                low_freq_limits(p, 1.0).general, rel=1e-9
-            )
+            assert dc_stiffness(Z) == pytest.approx(internal_dc_stiffness(p, 1.0), rel=1e-9)
 
     def test_source_validation(self, gripper_linear):
         with pytest.raises(ValueError):
@@ -214,12 +211,14 @@ class TestEndpointImpedance:
 
 class TestLowFreqLimits:
     def test_eq_values(self, gripper_linear):
-        lim = low_freq_limits(gripper_linear, 1.0)
-        assert lim.general == pytest.approx(0.14529, abs=5e-6)
-        assert lim.backdrivable == pytest.approx(0.1458, abs=1e-6)
-        assert lim.nonbackdrivable == pytest.approx(13.1419, abs=1e-4)
+        p = gripper_linear
+        general = dc_stiffness(endpoint_impedance_ff(p, 1.0, "internal"))
+        backdrivable = p.k / 2.0 + p.k_e
+        assert general == pytest.approx(0.14529, abs=5e-6)
+        assert backdrivable == pytest.approx(0.1458, abs=1e-6)
+        assert p.k_s + p.k_e == pytest.approx(13.1419, abs=1e-4)
         # highly stiff line: the approximation is within 0.4% here
-        assert lim.backdrivable == pytest.approx(lim.general, rel=4e-3)
+        assert backdrivable == pytest.approx(general, rel=4e-3)
 
     def test_half_driving_point_friction_limit(self):
         from fluidsea.plant import PlantParams
@@ -227,5 +226,6 @@ class TestLowFreqLimits:
         p = PlantParams(
             m=1e-3, b=1e-2, k=0.2, m_e=1e-3, b_e=0.0, k_e=0.0, b_s=0.0, k_s=1e9
         )
-        lim = low_freq_limits(p, 1.0)
-        assert lim.general == pytest.approx(p.k / 2, rel=1e-6)
+        assert internal_dc_stiffness(p, 1.0) == pytest.approx(p.k / 2, rel=1e-6)
+        Z = endpoint_impedance_ff(p, 1.0, "internal")
+        assert dc_stiffness(Z) == pytest.approx(p.k / 2, rel=1e-6)

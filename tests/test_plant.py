@@ -20,7 +20,6 @@ from fluidsea.plant import (
     TRACE_COLUMNS,
     PlantParams,
     PlantState,
-    SimTrace,
     SimulationDivergedError,
     _make_stepper,
     simulate,
@@ -200,7 +199,8 @@ def _reference_rk4(params):
 @pytest.mark.parametrize("n_dahl", [1.0, 0.5, 2.0])
 @pytest.mark.parametrize("hysteresis", [True, False])
 def test_stepper_equals_nested_reference(n_dahl, hysteresis):
-    p = replace(PlantParams.gripper(with_hysteresis=hysteresis), n_dahl=n_dahl)
+    p = PlantParams.gripper() if hysteresis else PlantParams.gripper().without_hysteresis()
+    p = replace(p, n_dahl=n_dahl)
     fast, ref = _make_stepper(p), _reference_rk4(p)
     rng = np.random.default_rng(7)
     for row in rng.uniform(-1.0, 1.0, size=(2000, 11)).tolist():
@@ -284,7 +284,7 @@ def test_backdriven_equals_nested_reference(plant, kind):
     p = {
         "n_dahl=1": PlantParams.gripper(),
         "n_dahl=0.5": replace(PlantParams.gripper(), n_dahl=0.5),
-        "linear": PlantParams.gripper(with_hysteresis=False),
+        "linear": PlantParams.gripper().without_hysteresis(),
     }[plant]
     ctrl = _backdrive_controllers(p.m)[kind]
     motion = SineMotionSpec(0.5, snap_omega(3.0, DT))
@@ -398,9 +398,10 @@ class TestTraceSerialization:
         tr.to_csv(path)
         header = open(path).readline().strip()
         assert header == "t,x,v,x_e,v_e,F_p,F_e,F_a,F_d,F_cmp,F_ref"
-        back = SimTrace.from_csv(path)
-        np.testing.assert_allclose(back.x_e, tr.x_e, rtol=1e-8, atol=1e-15)
-        assert back.dt == pytest.approx(tr.dt)
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert back.shape == (len(tr), len(TRACE_COLUMNS))
+        np.testing.assert_allclose(back[:, 3], tr.x_e, rtol=1e-8, atol=1e-15)
+        np.testing.assert_allclose(back[:, 0], tr.t, rtol=1e-8, atol=1e-15)
 
     def test_column_lookup(self, gripper):
         tr = simulate(gripper, None, None, None, duration=0.01, dt=DT)

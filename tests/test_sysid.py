@@ -6,10 +6,9 @@ import pytest
 from fluidsea.lti import FrequencyGrid, Polynomial, RationalTF
 from fluidsea.plant import simulate
 from fluidsea.rng import Xorshift64Star
-from fluidsea.signals import ChirpSpec, NyquistViolationError
+from fluidsea.signals import ChirpSpec, NyquistViolationError, as_signal
 from fluidsea.sysid import (
     FitError,
-    FitSpec,
     FrequencyResponse,
     estimate_frf,
     extract_params,
@@ -22,19 +21,24 @@ DT = 1.0 / 2000.0
 
 class TestChirp:
     def test_phase_starts_at_zero_and_frequency_sweeps(self):
-        spec = ChirpSpec(0.3, 0.01, 1000.0, 600.0)
-        assert spec.phase(0.0) == pytest.approx(0.0)
-        assert spec.instantaneous_frequency(0.0) == pytest.approx(0.01)
-        assert spec.instantaneous_frequency(600.0) == pytest.approx(1000.0)
-        # numeric phase derivative matches the instantaneous frequency
-        t = 300.0
-        h = 1e-5
-        f_num = (spec.phase(t + h) - spec.phase(t - h)) / (2 * h) / (2 * np.pi)
-        assert f_num == pytest.approx(float(spec.instantaneous_frequency(t)), rel=1e-6)
+        # A phase 2 pi f0 tau (exp(t/tau) - 1), tau = T / ln(f1/f0), has the
+        # instantaneous frequency f0 (f1/f0)^(t/T); its n-th upward zero
+        # crossing falls at t_n = tau ln(1 + n / (f0 tau)).
+        f0, f1, T, h = 1.0, 50.0, 10.0, 1e-5
+        force = as_signal(ChirpSpec(0.3, f0, f1, T))
+        assert force(0.0) == 0.0
+        t = np.arange(0.0, T, h)
+        y = np.array([force(ti) for ti in t])
+        i = np.nonzero((y[:-1] < 0.0) & (y[1:] >= 0.0))[0]
+        ups = t[i] - y[i] * h / (y[i + 1] - y[i])  # linear interpolation
+        tau = T / np.log(f1 / f0)
+        n = np.arange(1, ups.size + 1)
+        np.testing.assert_allclose(ups, tau * np.log1p(n / (f0 * tau)), rtol=0, atol=1e-7)
+        assert 1.0 / (ups[-1] - ups[-2]) == pytest.approx(f1, rel=0.05)
 
     def test_zero_amplitude(self):
-        spec = ChirpSpec(0.0, 0.1, 10.0, 5.0)
-        assert np.all(spec.sample(DT) == 0.0)
+        force = as_signal(ChirpSpec(0.0, 0.1, 10.0, 5.0))
+        assert all(force(i * DT) == 0.0 for i in range(int(round(5.0 / DT))))
 
     def test_band_ordering_rejected(self):
         with pytest.raises(ValueError):
@@ -43,16 +47,16 @@ class TestChirp:
     def test_nyquist_guard(self):
         spec = ChirpSpec(0.3, 0.01, 1000.0, 10.0)
         with pytest.raises(NyquistViolationError):
-            spec.sample(DT)
+            spec.validate_sampling(DT)
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
-            spec.sample(DT, allow_nyquist=True)
+            spec.validate_sampling(DT, allow_nyquist=True)
         assert any("Nyquist" in str(x.message) for x in w)
 
     def test_warning_above_80_percent_nyquist(self):
         spec = ChirpSpec(0.3, 0.01, 900.0, 10.0)
         with pytest.warns(UserWarning):
-            spec.sample(DT)
+            spec.validate_sampling(DT)
 
 
 def _loop_frf(u, y, dt, omegas, max_lag):
@@ -193,7 +197,7 @@ class TestFitTf:
             Polynomial([2.0, 3.0, 4.0]), Polynomial([1e-3, 0.05, 1.2, 0.4, 0.2])
         )
         frf = FrequencyResponse.from_tf(true, grid)
-        tf, rep = fit_tf(frf, FitSpec())
+        tf, rep = fit_tf(frf)
         np.testing.assert_allclose(tf.den.coeffs, true.den.coeffs, rtol=1e-6)
         np.testing.assert_allclose(
             tf.num.coeffs, true.num.coeffs / true.den.coeffs[0] * tf.den.coeffs[0],
@@ -205,14 +209,14 @@ class TestFitTf:
         grid = FrequencyGrid.log_spaced(1.0, 10.0, 5)
         frf = FrequencyResponse(grid, np.ones(5), np.zeros(5))
         with pytest.raises(FitError):
-            fit_tf(frf, FitSpec())
+            fit_tf(frf)
 
     def test_degenerate_grid_raises(self):
         base = 1.0 + 1e-9 * np.arange(40)
         grid = FrequencyGrid(base)
         frf = FrequencyResponse(grid, np.ones(40) * (1 + 0.5j), np.zeros(40))
         with pytest.raises(FitError):
-            fit_tf(frf, FitSpec())
+            fit_tf(frf)
 
     def test_hysteresis_raises_fit_residual(self, gripper, gripper_linear):
         spec = ChirpSpec(0.3, 0.05, 400.0, 120.0)
