@@ -3,9 +3,10 @@
 All s-domain controller blocks are realized at a fixed sample time via the
 Tustin transform (shared with :mod:`fluidsea.lti`), so a controller instance
 is bound to one dt. Configurations are immutable dataclasses; runtime
-controllers are single-owner mutable objects created by
-:func:`make_controller` and driven one sample at a time through
-``step(F_p, v, x, F_e, F_ref) -> F_a``.
+controllers are single-owner mutable objects that :func:`make_controller`
+builds at rest from a configuration, driven one sample at a time through
+``step(F_p, v, x, F_ref) -> F_a``. No controller reads F_e: external-force
+feedback acts through the stage gains the simulator applies.
 
 Controller catalogue
 --------------------
@@ -45,7 +46,6 @@ __all__ = [
     "PDController",
     "ProportionalFFConfig",
     "make_controller",
-    "pd_command",
 ]
 
 
@@ -176,44 +176,31 @@ class CompositeConfig:
 
 
 # ---------------------------------------------------------------------------
-# Stateless command law
-# ---------------------------------------------------------------------------
-
-
-def pd_command(cfg: PDConfig, x: float, v: float) -> float:
-    """PD hold command F_a = K_p (x_target - x) - K_d v."""
-    return cfg.K_p * (cfg.x_target - x) - cfg.K_d * v
-
-
-# ---------------------------------------------------------------------------
 # Runtime controllers
 # ---------------------------------------------------------------------------
 
 
-class BaseController:
-    """One controller instance serves one simulation loop."""
+class NullController:
+    """Passive plant, F_a = 0; the base of every runtime controller.
 
-    # Gains applied inside the integrator stages by the simulator (analog
-    # proportional feedback); discrete controllers leave these at zero.
+    One instance serves one simulation loop and starts from rest. The
+    simulator applies the two stage gains inside the integrator stages
+    (analog proportional feedback; discrete controllers leave them at zero)
+    and records ``last_f_cmp``, the feedforward force of the last step.
+    """
+
     stage_gain_internal = 0.0
     stage_gain_external = 0.0
     last_f_cmp = 0.0
 
-    def reset(self) -> None:  # pragma: no cover - trivial default
+    def __init__(self, cfg, dt: float):
         pass
 
-    def step(self, F_p: float, v: float, x: float, F_e: float, F_ref: float) -> float:
-        raise NotImplementedError
-
-
-class NullController(BaseController):
-    """Passive plant: F_a = 0."""
-
-    def step(self, F_p, v, x, F_e, F_ref):
+    def step(self, F_p: float, v: float, x: float, F_ref: float) -> float:
         return 0.0
 
 
-class ProportionalFFController(BaseController):
+class ProportionalFFController(NullController):
     """Analog proportional force feedback.
 
     The gain is applied inside the integrator stages rather than held over
@@ -222,35 +209,30 @@ class ProportionalFFController(BaseController):
     stage gains.
     """
 
-    def __init__(self, cfg: ProportionalFFConfig):
-        self.cfg = cfg
+    def __init__(self, cfg: ProportionalFFConfig, dt: float):
         if cfg.source == "internal":
             self.stage_gain_internal = cfg.K_f
         else:
             self.stage_gain_external = cfg.K_f
 
-    def step(self, F_p, v, x, F_e, F_ref):
-        return 0.0
 
+class PDController(NullController):
+    """PD hold F_a = K_p (x_target - x) - K_d v, delayed by whole samples."""
 
-class PDController(BaseController):
     def __init__(self, cfg: PDConfig, dt: float):
         self.cfg = cfg
-        self.dt = dt
         self._queue: deque[float] = deque([0.0] * cfg.delay_samples)
 
-    def reset(self):
-        self._queue = deque([0.0] * self.cfg.delay_samples)
-
-    def step(self, F_p, v, x, F_e, F_ref):
-        u = pd_command(self.cfg, x, v)
-        if self.cfg.delay_samples == 0:
+    def step(self, F_p, v, x, F_ref):
+        cfg = self.cfg
+        u = cfg.K_p * (cfg.x_target - x) - cfg.K_d * v
+        if cfg.delay_samples == 0:
             return u
         self._queue.append(u)
         return self._queue.popleft()
 
 
-class DOBController(BaseController):
+class DOBController(NullController):
     """Integrator-form disturbance observer.
 
     Realizes ``F_a = F_ref + (lambda/s) (F_ref + F_p - P_n^{-1} V)`` with
@@ -261,16 +243,12 @@ class DOBController(BaseController):
     def __init__(self, cfg: DOBConfig, dt: float):
         self.cfg = cfg
         self.dt = dt
-        self.reset()
-
-    def reset(self):
         self._i_fp = 0.0   # integral of F_ref + F_p
         self._u_prev = 0.0
         self._i_x = 0.0    # integral of x
         self._x_prev = 0.0
-        self.disturbance_estimate = 0.0
 
-    def step(self, F_p, v, x, F_e, F_ref):
+    def step(self, F_p, v, x, F_ref):
         if not (
             math.isfinite(F_p) and math.isfinite(v)
             and math.isfinite(x) and math.isfinite(F_ref)
@@ -286,7 +264,6 @@ class DOBController(BaseController):
         correction = cfg.lam * (
             self._i_fp - cfg.m_n * v - cfg.b_n * x - cfg.k_n * self._i_x
         )
-        self.disturbance_estimate = -correction
         return F_ref + correction
 
 
@@ -318,16 +295,12 @@ class FeedforwardCompensator:
                 RationalTF(Polynomial([1.0, 0.0]), Polynomial([cfg.b_s, cfg.k_s])), dt
             )
         )
-        self.reset()
-
-    def reset(self):
         self._z_fp = 0.0
         self._z_vhat = 0.0
         self._i_v = 0.0
         self._v_prev = 0.0
         self._vhat_prev = 0.0
         self._fd_hat = 0.0
-        self.last_vhat_e = 0.0
 
     def _advance_dahl(self, dx: float) -> float:
         dahl = self.cfg.dahl
@@ -352,7 +325,6 @@ class FeedforwardCompensator:
         self._z_vhat = b1 * F_p - a1 * y_vhat
         linear = cfg.b_e * v + cfg.k_e * self._i_v + y_fp
         vhat = v + y_vhat
-        self.last_vhat_e = vhat
         dx = half * (vhat + self._vhat_prev)
         self._vhat_prev = vhat
         return linear + self._advance_dahl(dx)
@@ -364,42 +336,34 @@ def _first_order(f: DiscreteFilter) -> tuple[float, float, float]:
     return float(b0), float(b1), float(a1)
 
 
-class CompositeController(BaseController):
+class CompositeController(NullController):
     """Feedforward compensation feeding the observer force reference."""
 
     def __init__(self, cfg: CompositeConfig, dt: float):
-        self.cfg = cfg
         self.dob = DOBController(cfg.dob, dt)
         self.feedforward = FeedforwardCompensator(cfg.feedforward, dt)
 
-    def reset(self):
-        self.dob.reset()
-        self.feedforward.reset()
-        self.last_f_cmp = 0.0
-
-    def step(self, F_p, v, x, F_e, F_ref):
+    def step(self, F_p, v, x, F_ref):
         f_cmp = self.feedforward.step(F_p, v)
         self.last_f_cmp = f_cmp
-        return self.dob.step(F_p, v, x, F_e, F_ref + f_cmp)
+        return self.dob.step(F_p, v, x, F_ref + f_cmp)
 
 
-def make_controller(config, dt: float) -> BaseController:
-    """Instantiate the runtime controller for a configuration.
+_RUNTIMES = {
+    type(None): NullController,
+    ProportionalFFConfig: ProportionalFFController,
+    DOBConfig: DOBController,
+    PDConfig: PDController,
+    CompositeConfig: CompositeController,
+}
 
-    Accepts None (passive), an already-built controller (returned as-is,
-    reset), or one of the configuration dataclasses.
+
+def make_controller(config, dt: float) -> NullController:
+    """A fresh runtime controller, at rest, for a configuration or None (passive).
+
+    Raises TypeError for anything else, a runtime controller included.
     """
-    if config is None:
-        return NullController()
-    if isinstance(config, BaseController):
-        config.reset()
-        return config
-    if isinstance(config, ProportionalFFConfig):
-        return ProportionalFFController(config)
-    if isinstance(config, DOBConfig):
-        return DOBController(config, dt)
-    if isinstance(config, PDConfig):
-        return PDController(config, dt)
-    if isinstance(config, CompositeConfig):
-        return CompositeController(config, dt)
-    raise TypeError(f"unsupported controller configuration: {config!r}")
+    cls = _RUNTIMES.get(type(config))
+    if cls is None:
+        raise TypeError(f"unsupported controller configuration: {config!r}")
+    return cls(config, dt)

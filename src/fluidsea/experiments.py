@@ -40,7 +40,7 @@ from .csvio import write_csv
 from .lti import FrequencyGrid
 from .plant import DEFAULT_DT, PlantParams, simulate
 from .rng import Xorshift64Star
-from .signals import ChirpSpec, ConstantSpec, SineSpec
+from .signals import ChirpSpec, ConstantSpec, NyquistViolationError, SineSpec
 
 __all__ = [
     "ConfigError",
@@ -176,9 +176,20 @@ def _measured_grid(cfg: ExperimentConfig) -> FrequencyGrid:
     return grid
 
 
+def _check_chirp_sampling(cfg: ExperimentConfig) -> None:
+    """Check the chirp's end frequency against Nyquist, once per run."""
+    spec = cfg.excitation
+    try:
+        spec.validate_sampling(cfg.dt, cfg.allow_nyquist)
+    except NyquistViolationError as exc:
+        raise ConfigError(f"[excitation] f1 = {spec.f1} Hz reaches the Nyquist frequency "
+                          f"{0.5 / cfg.dt} Hz of [run] dt = {cfg.dt}; set [run] "
+                          "allow_nyquist = true to run it anyway") from exc
+
+
 def _run_simulate(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
     if isinstance(cfg.excitation, ChirpSpec):
-        cfg.excitation.validate_sampling(cfg.dt, cfg.allow_nyquist)
+        _check_chirp_sampling(cfg)
         duration, key = cfg.excitation.duration, "[excitation] duration"
     else:
         duration, key = cfg.duration, "[run] duration"
@@ -194,7 +205,7 @@ def _run_sysid(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
     spec = cfg.excitation
     if not isinstance(spec, ChirpSpec):
         raise ConfigError("[analysis] sysid requires a chirp excitation")
-    spec.validate_sampling(cfg.dt, cfg.allow_nyquist)
+    _check_chirp_sampling(cfg)
     if round(spec.duration / cfg.dt) < 8:  # the spectra's lag window is 1/8 of the record
         raise ConfigError(
             f"[excitation] duration must span at least 8 samples of dt = {cfg.dt} "
@@ -605,79 +616,50 @@ LAMBDA_20_HZ = TWO_PI * 20.0  # the text's cutoff reading; reproduces the
 _CHIRP = ChirpSpec(amplitude=0.3, f0=0.01, f1=1000.0, duration=600.0)
 
 
-def _preset_fig3(plant: PlantParams) -> ExperimentConfig:
-    return ExperimentConfig(
-        plant=plant, excitation=_CHIRP, analysis=AnalysisSpec(kind="simulate")
-    )
+def _preset(controller=None, excitation=None, **analysis) -> ExperimentConfig:
+    return ExperimentConfig(plant=_GRIPPER, controller=controller, excitation=excitation,
+                            analysis=AnalysisSpec(**analysis))
 
 
-def _preset_fig4(plant: PlantParams) -> ExperimentConfig:
-    return ExperimentConfig(
-        plant=plant, excitation=_CHIRP, analysis=AnalysisSpec(kind="sysid")
-    )
-
-
-def _preset_fig5(plant: PlantParams) -> ExperimentConfig:
-    return ExperimentConfig(
-        plant=plant,
-        controller=ProportionalFFConfig(K_f=1.0, source="external"),
-        analysis=AnalysisSpec(
-            kind="impedance", method="closed_form",
-            grid_min=1e-2, grid_max=1e3, grid_points=181,
-        ),
-    )
-
-
-def _preset_fig6a(plant: PlantParams) -> ExperimentConfig:
-    return ExperimentConfig(
-        plant=plant,
-        controller=DOBConfig.inertial(plant.m, LAMBDA_20_RAD),
-        analysis=AnalysisSpec(kind="workloop"),
-    )
-
-
-def _composite(plant: PlantParams, lam: float, include_dahl: bool) -> CompositeConfig:
+def _composite(lam: float, include_dahl: bool) -> CompositeConfig:
     return CompositeConfig(
-        dob=DOBConfig.inertial(plant.m, lam),
-        feedforward=FeedforwardConfig.from_params(plant, include_dahl=include_dahl),
+        dob=DOBConfig.inertial(_GRIPPER.m, lam),
+        feedforward=FeedforwardConfig.from_params(_GRIPPER, include_dahl=include_dahl),
     )
 
 
-def _preset_fig6b(plant: PlantParams) -> ExperimentConfig:
-    return ExperimentConfig(
-        plant=plant,
-        controller=_composite(plant, LAMBDA_20_HZ, include_dahl=True),
-        analysis=AnalysisSpec(kind="workloop"),
-    )
-
-
-def _preset_fig6c(plant: PlantParams) -> ExperimentConfig:
-    return ExperimentConfig(
-        plant=plant,
-        controller=_composite(plant, LAMBDA_20_RAD, include_dahl=True),
-        analysis=AnalysisSpec(
-            kind="zwidth", grid_min=0.1, grid_max=100.0, grid_points=25,
-            include_motor_port=True,
-        ),
-    )
-
-
-def _preset_fig7(plant: PlantParams) -> ExperimentConfig:
-    return ExperimentConfig(
-        plant=plant,
-        controller=_composite(plant, LAMBDA_20_HZ, include_dahl=False),
-        analysis=AnalysisSpec(kind="workloop", fit_dahl=True),
-    )
-
-
+# name -> (config, one-line description)
 _PRESETS = {
-    "fig3-chirp": (_preset_fig3, "passive chirp backdrive trace for identification"),
-    "fig4-sysid": (_preset_fig4, "chirp identification: sub-plant FRFs, fits, parameters"),
-    "fig5-ff-compare": (_preset_fig5, "closed-form endpoint impedance: passive vs internal vs external feedback"),
-    "fig6a-workloop": (_preset_fig6a, "quasi-static work loops, passive vs observer"),
-    "fig6b-feedforward": (_preset_fig6b, "work loops under observer plus full friction feedforward"),
-    "fig6c-zwidth": (_preset_fig6c, "rendered impedance range against the stiff PD hold"),
-    "fig7-dahl-fit": (_preset_fig7, "hysteresis-model fit of the residual external loop"),
+    "fig3-chirp": (
+        _preset(excitation=_CHIRP, kind="simulate"),
+        "passive chirp backdrive trace for identification",
+    ),
+    "fig4-sysid": (
+        _preset(excitation=_CHIRP, kind="sysid"),
+        "chirp identification: sub-plant FRFs, fits, parameters",
+    ),
+    "fig5-ff-compare": (
+        _preset(ProportionalFFConfig(K_f=1.0, source="external"), kind="impedance",
+                method="closed_form", grid_min=1e-2, grid_max=1e3, grid_points=181),
+        "closed-form endpoint impedance: passive vs internal vs external feedback",
+    ),
+    "fig6a-workloop": (
+        _preset(DOBConfig.inertial(_GRIPPER.m, LAMBDA_20_RAD), kind="workloop"),
+        "quasi-static work loops, passive vs observer",
+    ),
+    "fig6b-feedforward": (
+        _preset(_composite(LAMBDA_20_HZ, include_dahl=True), kind="workloop"),
+        "work loops under observer plus full friction feedforward",
+    ),
+    "fig6c-zwidth": (
+        _preset(_composite(LAMBDA_20_RAD, include_dahl=True), kind="zwidth",
+                grid_min=0.1, grid_max=100.0, grid_points=25, include_motor_port=True),
+        "rendered impedance range against the stiff PD hold",
+    ),
+    "fig7-dahl-fit": (
+        _preset(_composite(LAMBDA_20_HZ, include_dahl=False), kind="workloop", fit_dahl=True),
+        "hysteresis-model fit of the residual external loop",
+    ),
 }
 
 
@@ -686,11 +668,10 @@ def presets() -> dict[str, str]:
     return {name: desc for name, (_, desc) in _PRESETS.items()}
 
 
-def preset_config(name: str, plant: PlantParams | None = None) -> ExperimentConfig:
+def preset_config(name: str) -> ExperimentConfig:
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(_PRESETS)}")
-    builder, _ = _PRESETS[name]
-    return builder(plant or PlantParams.gripper())
+    return _PRESETS[name][0]
 
 
 def run_preset(name: str, out_dir: str, dt: float | None = None,

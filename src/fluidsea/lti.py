@@ -378,7 +378,7 @@ class DiscreteFilter:
 
     Built by :func:`discretize_tustin`; also usable directly for discrete
     controller blocks. ``step`` consumes one input sample and returns one
-    output sample; state persists between calls until ``reset``.
+    output sample; state persists between calls.
     """
 
     def __init__(self, b, a, dt: float):
@@ -393,9 +393,6 @@ class DiscreteFilter:
         self.b = np.pad(self.b, (0, order + 1 - self.b.size))
         self.a = np.pad(self.a, (0, order + 1 - self.a.size))
         self._z = np.zeros(order)
-
-    def reset(self) -> None:
-        self._z[:] = 0.0
 
     def step(self, u: float) -> float:
         b, a, z = self.b, self.a, self._z

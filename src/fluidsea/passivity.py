@@ -259,52 +259,27 @@ def check_passive(tf: RationalTF, grid: FrequencyGrid | None = None) -> Passivit
 # ---------------------------------------------------------------------------
 
 
-def _det3(A: list[list[Polynomial]]) -> Polynomial:
-    """Determinant of a 3x3 matrix with polynomial entries."""
-    a, b, c = A[0]
-    d, e, f = A[1]
-    g, h, i = A[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def endpoint_impedance_ff(
     params: PlantParams, K_f: float, source: str = "internal"
 ) -> RationalTF:
     """Endpoint impedance Z_e(s) = F_e / V_e under proportional force feedback.
 
-    The linearized plant (hysteresis ignored) is solved as the 3x3 polynomial
-    network in (X, X_e, F_p) with F_a = K_f F_p (internal) or K_f F_e
-    (external), by symbolic Cramer elimination, then reduced. K_f = 0 gives
-    the passive endpoint impedance.
+    With F_a = K_f F_p (internal) or K_f F_e (external) on the linearized
+    plant (hysteresis ignored), eliminating X and F_p gives
+
+        Z_e = (E (M + g L) + L M) / (s (M + (1 + K_f) L)),
+
+    with the motor, endpoint and line polynomials M = m s^2 + b s + k,
+    E = m_e s^2 + b_e s + k_e and L = b_s s + k_s, and g = 1 + K_f for
+    internal feedback, g = 1 for external. The result is reduced. K_f = 0
+    gives the passive endpoint impedance.
     """
     if source not in ("internal", "external"):
         raise ValueError("source must be 'internal' or 'external'")
     M = Polynomial([params.m, params.b, params.k])
     E = Polynomial([params.m_e, params.b_e, params.k_e])
     L = Polynomial([params.b_s, params.k_s])
-    one = Polynomial([1.0])
-
-    # Rows act on (X, X_e, F_p); right-hand side is (r0, r1, r2) * F_e.
-    if source == "internal":
-        rows = [
-            [M, Polynomial([0.0]), Polynomial([-(1.0 + K_f)])],
-            [Polynomial([0.0]), E, one],
-            [-1.0 * L, L, Polynomial([-1.0])],
-        ]
-        rhs = (Polynomial([0.0]), one, Polynomial([0.0]))
-    else:
-        rows = [
-            [M, Polynomial([0.0]), Polynomial([-1.0])],
-            [Polynomial([0.0]), E, one],
-            [-1.0 * L, L, Polynomial([-1.0])],
-        ]
-        rhs = (Polynomial([K_f]), one, Polynomial([0.0]))
-
-    det_a = _det3(rows)
-    col = [[rows[r][c] for c in range(3)] for r in range(3)]
-    for r in range(3):
-        col[r][1] = rhs[r]
-    det_xe = _det3(col)
-    # Z = F_e / (s X_e) = det(A) / (s det_xe)
-    den = Polynomial(np.polymul([1.0, 0.0], det_xe.coeffs))
-    return RationalTF(det_a, den).reduced()
+    g = 1.0 + K_f if source == "internal" else 1.0
+    num = E * (M + g * L) + L * M
+    den = Polynomial([1.0, 0.0]) * (M + (1.0 + K_f) * L)
+    return RationalTF(num, den).reduced()

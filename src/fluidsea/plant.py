@@ -41,6 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .controllers import make_controller
 from .csvio import write_csv
 from .signals import as_signal
 
@@ -296,15 +297,17 @@ def simulate(
     """Closed-loop co-simulation of plant and controller under a force source.
 
     Each control period the controller consumes the sampled measurements
-    (F_p, v, x, F_e, F_ref) and produces F_a, which is held for the step
-    (zero-order hold). Memoryless proportional force feedback is instead
-    folded into the integrator stages, so that feedback behaves as an analog
-    gain. The external force is evaluated at the RK4 stage times.
+    (F_p, v, x, F_ref) and produces F_a, which is held for the step
+    (zero-order hold). Memoryless proportional force feedback, on F_p or
+    F_e, is instead folded into the integrator stages, so that feedback
+    behaves as an analog gain. The external force is evaluated at the RK4
+    stage times.
 
     Parameters
     ----------
-    controller : ControllerConfig, runtime controller, or None
-        None means F_a = 0 (passive plant).
+    controller : controller configuration or None
+        A fresh runtime is built from it for this run; None means F_a = 0
+        (passive plant).
     f_ext, f_ref : signal spec, callable, float, or None
         External endpoint force and reference force over [0, duration].
 
@@ -345,8 +348,6 @@ def simulate_backdriven(
 
 def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) -> SimTrace:
     """The simulation loop: the endpoint is driven by ``f_ext`` or, if given, by ``motion``."""
-    from .controllers import make_controller  # deferred to avoid import cycle
-
     if not (0.0 < dt <= 1e-2):
         raise ValueError("dt must lie in (0, 1e-2] s")
     n = int(round(duration / dt))
@@ -365,8 +366,8 @@ def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) 
     buffers = [array("d", [0.0]) * n for _ in TRACE_COLUMNS]
     c_t, c_x, c_v, c_xe, c_ve, c_fp, c_fe, c_fa, c_fd, c_cmp, c_ref = buffers
     ctrl_step = ctrl.step
-    kf_int = getattr(ctrl, "stage_gain_internal", 0.0)
-    kf_ext = getattr(ctrl, "stage_gain_external", 0.0)
+    kf_int = ctrl.stage_gain_internal
+    kf_ext = ctrl.stage_gain_external
     half = 0.5 * dt
     limit = _STATE_LIMIT
     isfinite = math.isfinite
@@ -390,7 +391,7 @@ def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) 
             fp = b_s * (ve - v) + k_s * (xe - x)
             fe = fe0 = fe_fn(t)
             fref = fref_fn(t)
-            fa = ctrl_step(fp, v, x, fe, fref)
+            fa = ctrl_step(fp, v, x, fref)
             fa_out = fa + kf_int * fp + kf_ext * fe
             feh = fe_fn(t + half)
             fe1 = fe_fn(t + dt)
@@ -399,7 +400,7 @@ def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) 
             fp = b_s * (ve - v) + k_s * (xe - x)
             fe = m_e * acc(t) + b_e * ve + k_e * xe + fd + fp
             fref = fref_fn(t)
-            fa = ctrl_step(fp, v, x, fe, fref) + kf_ext * fe
+            fa = ctrl_step(fp, v, x, fref) + kf_ext * fe
             fa_out = fa + kf_int * fp
             kin = (pos(t + half), vel(t + half), pos(t + dt), vel(t + dt))
         c_t[i] = t

@@ -457,11 +457,12 @@ def run_sysid(
     :func:`default_grid`. Optional additive
     measurement noise (standard deviation ``noise_std``, applied to the
     recorded signals) is drawn from the supplied deterministic generator.
+    The chirp is not checked against the sampling rate here: the caller
+    does that, with :meth:`ChirpSpec.validate_sampling`.
     """
     if spec is None:
         spec = ChirpSpec(amplitude=0.3, f0=0.01, f1=1000.0, duration=600.0)
     grid = default_grid()
-    spec.validate_sampling(dt, allow_nyquist=True)
     trace = simulate(params, None, spec, None, duration=spec.duration, dt=dt)
 
     def measured(name):

@@ -3,9 +3,11 @@
 It wraps ``plant.simulate_backdriven``, ``plant.as_signal``,
 ``controllers.make_controller``, ``lti.DiscreteFilter.step`` and other names,
 so renaming or deleting one of them must fail here, not only in a later
-traced benchmark run.
+traced benchmark run. One short benchmark run, untraced and traced, checks
+the whole harness end to end.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -35,3 +37,15 @@ def test_tracer_installs_and_counts():
         [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_runs_once():
+    # --seconds 0 gives one untraced and one traced pass of the workload
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "workloop-presets", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last

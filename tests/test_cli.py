@@ -355,6 +355,10 @@ duration = 5
             # runs shorter than one step
             ("[run]\nduration = 0.0001\n", "duration"),
             ("[excitation]\ntype = chirp\nf1 = 100\nduration = 0.0001\n", "duration"),
+            # a chirp reaching Nyquist at the default dt, with the guard on
+            ("[excitation]\ntype = chirp\nf1 = 1000\n\n[run]\nallow_nyquist = false\n", "f1"),
+            ("[excitation]\ntype = chirp\nf1 = 1000\n\n[analysis]\ntype = sysid\n"
+             "\n[run]\nallow_nyquist = false\n", "f1"),
         ],
     )
     def test_malformed_value_exit_code(self, tmp_path, capsys, text, key):
@@ -368,6 +372,17 @@ duration = 5
         section = text[1:text.index("]")]
         assert re.search(rf"\b{key}\b", err)
         assert err.count(f"[{section}]") == 1
+
+    def test_sysid_warns_about_nyquist_once(self, tmp_path):
+        # f1 = 1000 Hz is above 80 % of the 1000 Hz Nyquist frequency at the default dt
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(
+            "[excitation]\ntype = chirp\nf1 = 1000\nduration = 2\n\n[analysis]\ntype = sysid\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sysid", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert sum("Nyquist" in str(w.message) for w in caught) == 1
 
     def test_duration_checked_after_dt_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.ini"

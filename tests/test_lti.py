@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fluidsea.lti import (
     AXIS_RTOL,
-    DiscreteFilter,
     EvaluationError,
     FrequencyGrid,
     ImproperTransferFunctionError,
@@ -248,13 +247,6 @@ class TestTustin:
             c = tf.eval(w)
             d = filter_response(f, w)
             assert abs(abs(d) / abs(c) - 1.0) < 0.01
-
-    def test_filter_reset(self):
-        f = DiscreteFilter([1.0, 0.5], [1.0, -0.3], self.DT)
-        seq1 = [f.step(u) for u in (1.0, 0.0, 0.5)]
-        f.reset()
-        seq2 = [f.step(u) for u in (1.0, 0.0, 0.5)]
-        assert seq1 == seq2
 
 
 class TestFrequencyGrid:

@@ -215,8 +215,8 @@ def _reference_backdriven(params, controller, motion, duration, dt=DT, f_ref=Non
     """Motion-source loop with its own nested-rhs RK4: the form the shared loop replaces."""
     ctrl = make_controller(controller, dt)
     fref_fn = as_signal(f_ref)
-    kf_int = getattr(ctrl, "stage_gain_internal", 0.0)
-    kf_ext = getattr(ctrl, "stage_gain_external", 0.0)
+    kf_int = ctrl.stage_gain_internal
+    kf_ext = ctrl.stage_gain_external
     p = params
     pos, vel, acc = motion.position, motion.velocity, motion.acceleration
 
@@ -244,7 +244,7 @@ def _reference_backdriven(params, controller, motion, duration, dt=DT, f_ref=Non
         fp = p.b_s * (ve0 - v) + p.k_s * (xe0 - x)
         fe = p.m_e * float(acc(t)) + p.b_e * ve0 + p.k_e * xe0 + fd + fp
         fref = fref_fn(t)
-        fa = ctrl.step(fp, v, x, fe, fref) + kf_ext * fe
+        fa = ctrl.step(fp, v, x, fref) + kf_ext * fe
         cols[i] = (t, x, v, xe0, ve0, fp, fe, fa + kf_int * fp, fd, ctrl.last_f_cmp, fref)
         xeh, veh = float(pos(t + half)), float(vel(t + half))
         xe1, ve1 = float(pos(t + dt)), float(vel(t + dt))
