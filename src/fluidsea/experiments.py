@@ -254,7 +254,8 @@ def _run_impedance(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
     fr = imp.measure_impedance(
         cfg.plant, cfg.controller, grid, amplitude=cfg.analysis.force_amplitude, dt=cfg.dt
     )
-    base = imp.measure_impedance(
+    # Without a [controller] the configured sweep is already the passive one.
+    base = fr if cfg.controller is None else imp.measure_impedance(
         cfg.plant, None, grid, amplitude=cfg.analysis.force_amplitude, dt=cfg.dt
     )
     art.write("impedance.csv", lambda p: _impedance_csv(p, fr))

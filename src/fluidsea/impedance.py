@@ -1,12 +1,13 @@
 """Endpoint impedance measurement, work loops, Dahl fitting, and Z-width.
 
 Impedance is measured per frequency from closed-loop simulation: a sinusoidal
-external force excites the endpoint, the simulation settles for a fixed
-number of cycles, amplitude drift between consecutive cycles is checked, and
-the fundamental phasors of force and velocity are extracted by single-bin
-correlation over the last full cycle. Requested frequencies are snapped so a
-period is an integer number of samples, which makes the single-bin
-projection exact for periodic steady state; the snapped grid is returned.
+external force excites the endpoint, the simulation settles for at least one
+cycle and at least 5 s, the amplitude drift between the two measured cycles
+that follow is checked, and the fundamental phasors of force and velocity are
+extracted by single-bin correlation over the last cycle. Requested
+frequencies are snapped so a period is an integer number of samples, which
+makes the single-bin projection exact for periodic steady state; the snapped
+grid is returned.
 
 Work loops are force-versus-endpoint-displacement cycles; their enclosed
 area is the energy dissipated per cycle and their half-spread at the loop
@@ -21,6 +22,7 @@ which is fitted to measured loops for (F_c, sigma).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,30 +91,33 @@ def _phasor(sig: np.ndarray, t: np.ndarray, omega: float) -> complex:
 # Trace columns (force, velocity) whose phasor ratio is each port's impedance.
 _PORT_SIGNALS = {"endpoint": ("F_e", "v_e"), "motor": ("F_p", "v")}
 
+# Each point settles for at least one period and at least this long [s]: the
+# slow compensated modes settle on an absolute time scale, not a cycle count.
+_SETTLE_TIME = 5.0
+# Largest relative change of the velocity amplitude between the two measured
+# cycles of a settled point.
+_DRIFT_TOL = 5e-3
+
 
 def measure_impedance(
     params: PlantParams,
     controller,
     grid: FrequencyGrid,
     amplitude: float = 0.1,
-    settle_cycles: int = 5,
-    settle_min_time: float = 5.0,
-    measure_cycles: int = 3,
-    drift_tol: float = 5e-3,
     dt: float = DEFAULT_DT,
     port: str | tuple[str, ...] = "endpoint",
 ) -> FrequencyResponse | tuple[FrequencyResponse, ...]:
     """Endpoint (or motor-port) impedance Z(j omega) from simulation.
 
-    Per grid point the plant runs under ``controller`` with
-    F_e = amplitude sin(omega t); settling lasts ``settle_cycles`` periods
-    but never less than ``settle_min_time`` (the slow compensated modes
-    settle on an absolute time scale, not a cycle count). The last
-    ``measure_cycles`` periods provide per-cycle fundamental amplitudes; if
-    consecutive cycles drift by more than ``drift_tol`` the run is repeated
-    once with doubled settling, after which the point is marked invalid.
-    Z is the ratio of force to velocity phasors over the final cycle:
-    F_e/V_e at the endpoint port, F_p/V at the motor port.
+    Per grid point the plant runs from rest under ``controller`` with
+    F_e = amplitude sin(omega t): S settle periods, S = max(1,
+    ceil(``_SETTLE_TIME`` / period)) with ``_SETTLE_TIME`` = 5 s, then two
+    measured periods. If the fundamental velocity amplitudes of the two
+    measured periods differ by more than ``_DRIFT_TOL`` = 5e-3 relative to
+    the last, the run is repeated once from rest with 2 S settle periods,
+    after which the point is marked invalid. Z is the ratio of force to
+    velocity phasors over the last period: F_e/V_e at the endpoint port,
+    F_p/V at the motor port.
 
     ``port`` may also be a tuple of port names; one simulation per point
     then serves every port, and a tuple of responses in the same order is
@@ -121,8 +126,10 @@ def measure_impedance(
     single-port call gives.
 
     Points where the simulation diverges are marked invalid rather than
-    aborting the sweep. A grid whose points snap to the same period raises
-    ``ValueError`` before any simulation.
+    aborting the sweep. Each invalid point issues a ``UserWarning`` that
+    names its snapped omega and why: the step at which the simulation
+    diverged, or the drift left after the retry. A grid whose points snap to
+    the same period raises ``ValueError`` before any simulation.
     """
     ports = (port,) if isinstance(port, str) else tuple(port)
     if not ports or any(p not in _PORT_SIGNALS for p in ports):
@@ -134,44 +141,49 @@ def measure_impedance(
     for i, w in enumerate(omegas):
         period = 2.0 * math.pi / w
         n_per = int(round(period / dt))
-        base_settle = max(settle_cycles, int(math.ceil(settle_min_time / period)))
+        base_settle = max(1, math.ceil(_SETTLE_TIME / period))
         pending = list(range(len(ports)))
+        drift = [math.inf] * len(ports)  # each port's drift in the latest run
+        diverged_at = None
         for settle in (base_settle, 2 * base_settle):
-            cycles = settle + measure_cycles
             try:
                 trace = simulate(
                     params,
                     controller,
                     SineSpec(amplitude, w),
                     None,
-                    duration=cycles * period,
+                    duration=(settle + 2) * period,
                     dt=dt,
                 )
-            except SimulationDivergedError:
+            except SimulationDivergedError as exc:
+                diverged_at = exc.step_index
                 break
+            first = slice(settle * n_per, (settle + 1) * n_per)
+            last = slice((settle + 1) * n_per, (settle + 2) * n_per)
             for j in list(pending):
                 f_name, v_name = _PORT_SIGNALS[ports[j]]
                 f_sig, v_sig = trace.column(f_name), trace.column(v_name)
-                amps = []
-                for c in range(measure_cycles):
-                    lo = (settle + c) * n_per
-                    hi = lo + n_per
-                    if hi > len(trace):
-                        break
-                    amps.append(abs(_phasor(v_sig[lo:hi], trace.t[lo:hi], w)))
-                if len(amps) >= 2 and amps[-1] > 0:
-                    drift = abs(amps[-1] - amps[-2]) / amps[-1]
-                    if drift <= drift_tol:
-                        lo = (cycles - 1) * n_per
-                        hi = lo + n_per
-                        pf = _phasor(f_sig[lo:hi], trace.t[lo:hi], w)
-                        pv = _phasor(v_sig[lo:hi], trace.t[lo:hi], w)
-                        H[j][i] = pf / pv
-                        pending.remove(j)
+                a_first = abs(_phasor(v_sig[first], trace.t[first], w))
+                pv = _phasor(v_sig[last], trace.t[last], w)
+                drift[j] = abs(abs(pv) - a_first) / abs(pv) if abs(pv) > 0 else math.inf
+                if drift[j] <= _DRIFT_TOL:
+                    H[j][i] = _phasor(f_sig[last], trace.t[last], w) / pv
+                    pending.remove(j)
             if not pending:
                 break
         for j in pending:
             valid[j][i] = False
+            if diverged_at is not None:
+                reason = f"the simulation diverged at step {diverged_at}"
+            else:
+                reason = (
+                    f"velocity amplitude drift {drift[j]:.3e} exceeds {_DRIFT_TOL:.1e} "
+                    "after the retry"
+                )
+            warnings.warn(
+                f"{ports[j]} impedance at omega = {w:.6g} rad/s is invalid: {reason}",
+                stacklevel=2,
+            )
 
     responses = tuple(
         FrequencyResponse(FrequencyGrid(omegas), h, np.zeros(omegas.size), ok)

@@ -452,6 +452,26 @@ duration = 5
         out = capsys.readouterr().out
         assert "fig6c-zwidth" in out and out.count("fig") == 7
 
+    def test_passive_impedance_sweeps_once(self, tmp_path, monkeypatch):
+        # without a [controller] the configured sweep is the passive one
+        import fluidsea.impedance as imp
+
+        calls = []
+        original = imp.simulate
+
+        def counting_simulate(*args, **kwargs):
+            calls.append(args[2].omega)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(imp, "simulate", counting_simulate)
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text("[analysis]\ntype = impedance\ngrid_min = 3\ngrid_max = 10\n"
+                            "grid_points = 2\n")
+        out = tmp_path / "imp"
+        assert main(["impedance", str(cfg_path), "--out", str(out)]) == 0
+        assert len(calls) == 2
+        assert (out / "impedance.csv").read_bytes() == (out / "impedance_passive.csv").read_bytes()
+
     def test_zwidth_command_small_grid(self, gripper, tmp_path):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(

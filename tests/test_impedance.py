@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -102,8 +104,48 @@ class TestMeasureImpedance:
 
         bad = PDConfig(K_p=2e5, K_d=4e3, delay_samples=1)
         grid = FrequencyGrid(np.array([1.0]))
-        fr = measure_impedance(gripper_linear, bad, grid)
+        with pytest.warns(UserWarning) as caught:
+            fr = measure_impedance(gripper_linear, bad, grid)
         assert not fr.valid[0]
+        assert len(caught) == 1
+        assert re.fullmatch(
+            rf"endpoint impedance at omega = {fr.omegas[0]:.6g} rad/s is invalid: "
+            r"the simulation diverged at step \d+",
+            str(caught[0].message),
+        )
+
+    def test_unsettled_point_marked_invalid(self, gripper_linear, monkeypatch):
+        import fluidsea.impedance as imp
+
+        monkeypatch.setattr(imp, "_DRIFT_TOL", 0.0)
+        grid = FrequencyGrid(np.array([1.0]))
+        with pytest.warns(UserWarning) as caught:
+            fr = measure_impedance(gripper_linear, None, grid)
+        assert not fr.valid[0]
+        assert len(caught) == 1
+        assert re.fullmatch(
+            rf"endpoint impedance at omega = {fr.omegas[0]:.6g} rad/s is invalid: "
+            r"velocity amplitude drift \S+ exceeds 0\.0e\+00 after the retry",
+            str(caught[0].message),
+        )
+
+    def test_settle_schedule(self, gripper_linear, monkeypatch):
+        # one period of settling at 0.5 rad/s, ceil(5 s / period) = 16 at
+        # 20 rad/s, then the two measured periods
+        import fluidsea.impedance as imp
+
+        durations = []
+        original = imp.simulate
+
+        def recording_simulate(*args, **kwargs):
+            durations.append(kwargs["duration"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(imp, "simulate", recording_simulate)
+        fr = measure_impedance(gripper_linear, None, FrequencyGrid(np.array([0.5, 20.0])), dt=DT)
+        assert fr.valid.all()
+        periods = 2 * math.pi / fr.omegas
+        assert durations == pytest.approx([3 * periods[0], 18 * periods[1]], rel=1e-12)
 
     def test_port_validation(self, gripper_linear):
         with pytest.raises(ValueError):
@@ -114,23 +156,20 @@ class TestMeasureImpedance:
     @pytest.mark.parametrize(
         "drift_tol, runs, endpoint_valid, motor_valid",
         [
-            # at 20 rad/s the endpoint settles at once and only the motor port retries
-            (1.5e-4, 3, [True, True], [True, True]),
-            # both points retry; the motor port at 20 rad/s never settles
-            (1e-7, 4, [True, True], [True, False]),
+            # both points retry at 2 rad/s; at 20 rad/s only the endpoint retries
+            (6.1e-6, 4, [True, True], [True, True]),
+            # both points retry; the endpoint at 20 rad/s never settles
+            (2.4e-8, 4, [True, False], [True, True]),
         ],
     )
     def test_port_tuple_equals_single_ports(
         self, gripper, monkeypatch, drift_tol, runs, endpoint_valid, motor_valid
     ):
         import fluidsea.impedance as imp
-        from fluidsea.controllers import PDConfig
 
-        pd = PDConfig(K_p=88.4, K_d=1.768, delay_samples=1)
-        kw = dict(
-            grid=FrequencyGrid(np.array([2.0, 20.0])), settle_cycles=1,
-            settle_min_time=0.3, measure_cycles=2, drift_tol=drift_tol,
-        )
+        dob = DOBConfig.inertial(gripper.m, 20.0)
+        grid = FrequencyGrid(np.array([2.0, 20.0]))
+        monkeypatch.setattr(imp, "_DRIFT_TOL", drift_tol)
         calls = []
         original = imp.simulate
 
@@ -139,16 +178,25 @@ class TestMeasureImpedance:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(imp, "simulate", counting_simulate)
-        both = measure_impedance(gripper, pd, port=("endpoint", "motor"), **kw)
+        with warnings.catch_warnings(record=True) as both_warned:
+            warnings.simplefilter("always")
+            both = measure_impedance(gripper, dob, grid, port=("endpoint", "motor"))
         assert len(calls) == runs
-        singles = [
-            measure_impedance(gripper, pd, port=port, **kw) for port in ("endpoint", "motor")
-        ]
+        singles, single_warned = [], []
+        for port in ("endpoint", "motor"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                singles.append(measure_impedance(gripper, dob, grid, port=port))
+            single_warned += caught
         assert [list(r.valid) for r in both] == [endpoint_valid, motor_valid]
         for got, want in zip(both, singles):
             assert np.array_equal(got.H, want.H)
             assert np.array_equal(got.valid, want.valid)
             assert np.array_equal(got.omegas, want.omegas)
+        assert sorted(str(w.message) for w in both_warned) == sorted(
+            str(w.message) for w in single_warned
+        )
+        assert len(both_warned) == endpoint_valid.count(False) + motor_valid.count(False)
 
     def test_full_feedforward_reduction_profile(self, gripper):
         # the composite controller cuts low-frequency impedance far past the
