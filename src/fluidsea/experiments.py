@@ -455,12 +455,12 @@ _ANALYSIS = _Group(AnalysisSpec, {
     "grid_min": _Key(default=0.1),
     "grid_max": _Key(default=100.0),
     "grid_points": _Key(int, 20),
-    "force_amplitude": _Key(default=0.1),
+    "force_amplitude": _Key(default=0.1, check=(lambda v: v > 0, "must be > 0")),
     "method": _Key(("measured", "closed_form"), "measured"),
     "include_motor_port": _Key(_BOOL, False),
     "fit_dahl": _Key(_BOOL, False),
     "backdrive_omega": _Key(default=1.0, check=(lambda v: v > 0, "must be > 0")),
-    "backdrive_amplitude": _Key(default=0.5),
+    "backdrive_amplitude": _Key(default=0.5, check=(lambda v: v > 0, "must be > 0")),
     # n cycles give n - 1 upward crossings of x_e; the work loop needs three
     "backdrive_cycles": _Key(int, 4, check=(lambda v: v >= 4, "must be >= 4")),
 })

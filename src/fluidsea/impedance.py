@@ -91,8 +91,9 @@ def _phasor(sig: np.ndarray, t: np.ndarray, omega: float) -> complex:
 # Trace columns (force, velocity) whose phasor ratio is each port's impedance.
 _PORT_SIGNALS = {"endpoint": ("F_e", "v_e"), "motor": ("F_p", "v")}
 
-# Each point settles for at least one period and at least this long [s]: the
-# slow compensated modes settle on an absolute time scale, not a cycle count.
+# Each point settles for at least this long [s], since the slow compensated
+# modes settle on an absolute time scale, and for at least one period, since
+# the Dahl element reaches its periodic orbit only after a whole cycle.
 _SETTLE_TIME = 5.0
 # Largest relative change of the velocity amplitude between the two measured
 # cycles of a settled point.

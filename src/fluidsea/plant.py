@@ -20,14 +20,17 @@ controller output is held for the step (zero-order hold). The Dahl state is
 clamped to [-F_c, F_c] after each step, since RK4 can overshoot the bound by
 O(dt^2).
 
-One stepper and one loop serve both ways of driving the endpoint. Under a
-force source (:func:`simulate`) the endpoint is integrated and the external
-force is evaluated at the RK4 stage times. Under a motion source
-(:func:`simulate_backdriven`) the endpoint is prescribed at the stage times
-and F_e is the measured output. The loop runs in plain Python scalars: the
-four RK4 stages are straight-line code in one closure, and each trace column
-is recorded into its own flat float buffer, which the returned trace views
-without a copy.
+One loop serves both ways of driving the endpoint. Under a force source
+(:func:`simulate`) the endpoint is integrated and the external force is
+evaluated at the RK4 stage times. Under a motion source
+(:func:`simulate_backdriven`) the endpoint follows a
+:class:`~fluidsea.signals.SineMotionSpec`, prescribed at the stage times,
+and F_e is the measured output. The loop runs in plain Python scalars and
+makes no call per step beyond the controller and the signals: the four RK4
+stages are straight-line code in the loop body, the sine motion is evaluated
+there from constants hoisted out of it, and each trace column is recorded
+into its own flat float buffer, which the returned trace views without a
+copy.
 
 The nonlinear viscous losses of a real hose are intentionally out of model
 scope; the line stays a linear spring-damper.
@@ -43,7 +46,7 @@ import numpy as np
 
 from .controllers import make_controller
 from .csvio import write_csv
-from .signals import as_signal
+from .signals import SineMotionSpec, as_signal
 
 __all__ = [
     "DEFAULT_DT",
@@ -139,112 +142,6 @@ class PlantState:
     f_d: float = 0.0
 
 
-def _make_stepper(params: PlantParams):
-    """Compile one RK4 step into a closure over unpacked parameters.
-
-    The returned function advances (x, v, x_e, v_e, f_d) by dt given the held
-    actuator force ``fa``, optional proportional force-feedback gains applied
-    inside the stages (``kf_int`` on the line force, ``kf_ext`` on the
-    external force), and the external force evaluated at the three stage
-    times ``fe0, feh, fe1``.
-
-    The endpoint is integrated when ``kin`` is None. Otherwise it is
-    prescribed: ``kin = (x_e, v_e at t + dt/2, x_e, v_e at t + dt)`` gives
-    its stage states and result, and its own rates and update are skipped.
-    This is the one place where the RK4 stages and the Dahl law are written.
-
-    The four stages are written out as straight-line scalar code. Stage j
-    reads the state ``xj, vj, xej, vej, fdj`` (plain ``x, v, xe, ve, fd`` for
-    j = 1) and yields the rates ``vj, dvj, vej, dvej, dfdj``: the position
-    rates are the stage velocities themselves.
-    """
-    m, b, k = params.m, params.b, params.k
-    m_e, b_e, k_e = params.m_e, params.b_e, params.k_e
-    b_s, k_s = params.b_s, params.k_s
-    F_c, sigma, n = params.F_c, params.sigma, params.n_dahl
-    dahl_on = F_c > 0.0
-    general_n = n != 1.0
-    copysign = math.copysign
-
-    def rk4(x, v, xe, ve, fd, fa, kf_int, kf_ext, fe0, feh, fe1, dt, kin=None):
-        h = dt * 0.5
-        fp = b_s * (ve - v) + k_s * (xe - x)
-        dv1 = (fa + kf_int * fp + kf_ext * fe0 + fp - b * v - k * x) / m
-        if dahl_on and ve != 0.0:
-            g = 1.0 - (fd / F_c) * (1.0 if ve > 0.0 else -1.0)
-            dfd1 = sigma * ve * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve * g
-        else:
-            dfd1 = 0.0
-
-        x2 = x + h * v
-        v2 = v + h * dv1
-        if kin is None:
-            dve1 = (fe0 - fp - b_e * ve - k_e * xe - fd) / m_e
-            xe2 = xe + h * ve
-            ve2 = ve + h * dve1
-        else:
-            xe2, ve2, xe4, ve4 = kin
-        fd2 = fd + h * dfd1
-        fp = b_s * (ve2 - v2) + k_s * (xe2 - x2)
-        dv2 = (fa + kf_int * fp + kf_ext * feh + fp - b * v2 - k * x2) / m
-        if dahl_on and ve2 != 0.0:
-            g = 1.0 - (fd2 / F_c) * (1.0 if ve2 > 0.0 else -1.0)
-            dfd2 = sigma * ve2 * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve2 * g
-        else:
-            dfd2 = 0.0
-
-        x3 = x + h * v2
-        v3 = v + h * dv2
-        if kin is None:
-            dve2 = (feh - fp - b_e * ve2 - k_e * xe2 - fd2) / m_e
-            xe3 = xe + h * ve2
-            ve3 = ve + h * dve2
-        else:
-            xe3, ve3 = xe2, ve2
-        fd3 = fd + h * dfd2
-        fp = b_s * (ve3 - v3) + k_s * (xe3 - x3)
-        dv3 = (fa + kf_int * fp + kf_ext * feh + fp - b * v3 - k * x3) / m
-        if dahl_on and ve3 != 0.0:
-            g = 1.0 - (fd3 / F_c) * (1.0 if ve3 > 0.0 else -1.0)
-            dfd3 = sigma * ve3 * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve3 * g
-        else:
-            dfd3 = 0.0
-
-        x4 = x + dt * v3
-        v4 = v + dt * dv3
-        if kin is None:
-            dve3 = (feh - fp - b_e * ve3 - k_e * xe3 - fd3) / m_e
-            xe4 = xe + dt * ve3
-            ve4 = ve + dt * dve3
-        fd4 = fd + dt * dfd3
-        fp = b_s * (ve4 - v4) + k_s * (xe4 - x4)
-        dv4 = (fa + kf_int * fp + kf_ext * fe1 + fp - b * v4 - k * x4) / m
-        if dahl_on and ve4 != 0.0:
-            g = 1.0 - (fd4 / F_c) * (1.0 if ve4 > 0.0 else -1.0)
-            dfd4 = sigma * ve4 * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve4 * g
-        else:
-            dfd4 = 0.0
-
-        w = dt / 6.0
-        x += w * (v + 2.0 * (v2 + v3) + v4)
-        v += w * (dv1 + 2.0 * (dv2 + dv3) + dv4)
-        if kin is None:
-            dve4 = (fe1 - fp - b_e * ve4 - k_e * xe4 - fd4) / m_e
-            xe += w * (ve + 2.0 * (ve2 + ve3) + ve4)
-            ve += w * (dve1 + 2.0 * (dve2 + dve3) + dve4)
-        else:
-            xe, ve = xe4, ve4
-        fd += w * (dfd1 + 2.0 * (dfd2 + dfd3) + dfd4)
-        if dahl_on:
-            if fd > F_c:
-                fd = F_c
-            elif fd < -F_c:
-                fd = -F_c
-        return x, v, xe, ve, fd
-
-    return rk4
-
-
 @dataclass
 class SimTrace:
     """Uniformly sampled record of every plant and controller signal.
@@ -322,7 +219,7 @@ def simulate(
 def simulate_backdriven(
     params: PlantParams,
     controller,
-    motion,
+    motion: SineMotionSpec,
     duration: float,
     dt: float = DEFAULT_DT,
     f_ref=None,
@@ -330,45 +227,67 @@ def simulate_backdriven(
     """Co-simulation with the endpoint motion imposed kinematically.
 
     Models the bonded-finger backdrive test: the endpoint position is an
-    authoritative motion source (``motion`` provides position, velocity and
-    acceleration of x_e as float functions of a scalar time), and the
-    external force becomes the
-    measured output
+    authoritative motion source, the sine ``motion``, and the external force
+    becomes the measured output
 
         F_e = m_e a_e + b_e v_e + k_e x_e + F_d + F_p.
 
-    This is the loop and stepper of :func:`simulate`, started from rest, with
-    the endpoint prescribed at the stage times instead of integrated; only
-    the motor and the Dahl state are integrated. The controller runs as in
+    This is the loop of :func:`simulate`, started from rest, with the
+    endpoint prescribed at the stage times instead of integrated; only the
+    motor and the Dahl state are integrated. The controller runs as in
     :func:`simulate`, except that external-force proportional feedback uses
-    the sampled computed F_e with zero-order hold.
+    the sampled computed F_e with zero-order hold. Any ``motion`` other
+    than a :class:`SineMotionSpec` raises ``TypeError``.
     """
+    if not isinstance(motion, SineMotionSpec):
+        raise TypeError(f"motion must be a SineMotionSpec, not {type(motion).__name__}")
     return _run(params, controller, None, motion, f_ref, duration, dt, None)
 
 
 def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) -> SimTrace:
-    """The simulation loop: the endpoint is driven by ``f_ext`` or, if given, by ``motion``."""
+    """The simulation loop: the endpoint is driven by ``f_ext`` or, if given, by ``motion``.
+
+    This is the one place where the RK4 stages and the Dahl law are written.
+    Each step advances (x, v, x_e, v_e, f_d) by dt under the held actuator
+    force ``fa``, with proportional force feedback applied inside the stages
+    (``kf_int`` on the line force, ``kf_stage`` on the external force, which
+    is evaluated at the three stage times ``fe0, feh, fe1``). Stage j reads
+    the state ``xj, vj, xej, vej, fdj`` (plain ``x, v, xe, ve, fd`` for
+    j = 1) and yields the rates ``vj, dvj, vej, dvej, dfdj``: the position
+    rates are the stage velocities themselves.
+
+    The endpoint is integrated when ``forced``. Under a motion source its
+    stage states are the sine at t, t + dt/2 and t + dt, and its own rates
+    and update are skipped.
+    """
     if not (0.0 < dt <= 1e-2):
         raise ValueError("dt must lie in (0, 1e-2] s")
-    n = int(round(duration / dt))
-    if n < 1:
+    steps = int(round(duration / dt))
+    if steps < 1:
         raise ValueError("duration shorter than one step")
 
     ctrl = make_controller(controller, dt)
     fref_fn = as_signal(f_ref)
-    rk4 = _make_stepper(params)
+
+    m, b, k = params.m, params.b, params.k
+    m_e, b_e, k_e = params.m_e, params.b_e, params.k_e
+    b_s, k_s = params.b_s, params.k_s
+    F_c, sigma, n = params.F_c, params.sigma, params.n_dahl
+    dahl_on = F_c > 0.0
+    general_n = n != 1.0
+    copysign = math.copysign
 
     s0 = initial_state or PlantState()
     x, v, xe, ve, fd = s0.x, s0.v, s0.x_e, s0.v_e, s0.f_d
-    b_s, k_s = params.b_s, params.k_s
 
     # One flat buffer per trace column; SimTrace views them without a copy.
-    buffers = [array("d", [0.0]) * n for _ in TRACE_COLUMNS]
+    buffers = [array("d", [0.0]) * steps for _ in TRACE_COLUMNS]
     c_t, c_x, c_v, c_xe, c_ve, c_fp, c_fe, c_fa, c_fd, c_cmp, c_ref = buffers
     ctrl_step = ctrl.step
     kf_int = ctrl.stage_gain_internal
     kf_ext = ctrl.stage_gain_external
-    half = 0.5 * dt
+    h = 0.5 * dt
+    w = dt / 6.0
     limit = _STATE_LIMIT
     isfinite = math.isfinite
 
@@ -376,16 +295,18 @@ def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) 
     if forced:
         fe_fn = as_signal(f_ext)
         kf_stage = kf_ext
-        kin = None
     else:
-        pos, vel, acc = motion.position, motion.velocity, motion.acceleration
-        m_e, b_e, k_e = params.m_e, params.b_e, params.k_e
+        # x_e = a sin(omega t), v_e = (a omega) cos(omega t) and
+        # a_e = (-a omega^2) sin(omega t), as SineMotionSpec evaluates them.
+        a, omega = motion.amplitude, motion.omega
+        a_w, a_ww = a * omega, -a * omega**2
+        sin, cos = math.sin, math.cos
         # A motion source holds external feedback in F_a instead; the stage
         # term becomes -0.0 * 0.0 = -0.0, which adds nothing to any float.
         kf_stage = -0.0
         fe0 = feh = fe1 = 0.0
 
-    for i in range(n):
+    for i in range(steps):
         t = i * dt
         if forced:
             fp = b_s * (ve - v) + k_s * (xe - x)
@@ -393,16 +314,21 @@ def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) 
             fref = fref_fn(t)
             fa = ctrl_step(fp, v, x, fref)
             fa_out = fa + kf_int * fp + kf_ext * fe
-            feh = fe_fn(t + half)
+            feh = fe_fn(t + h)
             fe1 = fe_fn(t + dt)
         else:
-            xe, ve = pos(t), vel(t)
+            sin_t = sin(omega * t)
+            xe, ve = a * sin_t, a_w * cos(omega * t)
             fp = b_s * (ve - v) + k_s * (xe - x)
-            fe = m_e * acc(t) + b_e * ve + k_e * xe + fd + fp
+            fe = m_e * (a_ww * sin_t) + b_e * ve + k_e * xe + fd + fp
             fref = fref_fn(t)
             fa = ctrl_step(fp, v, x, fref) + kf_ext * fe
             fa_out = fa + kf_int * fp
-            kin = (pos(t + half), vel(t + half), pos(t + dt), vel(t + dt))
+            wt = omega * (t + h)
+            xe2 = xe3 = a * sin(wt)
+            ve2 = ve3 = a_w * cos(wt)
+            wt = omega * (t + dt)
+            xe4, ve4 = a * sin(wt), a_w * cos(wt)
         c_t[i] = t
         c_x[i] = x
         c_v[i] = v
@@ -414,7 +340,73 @@ def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) 
         c_fd[i] = fd
         c_cmp[i] = ctrl.last_f_cmp
         c_ref[i] = fref
-        x, v, xe, ve, fd = rk4(x, v, xe, ve, fd, fa, kf_int, kf_stage, fe0, feh, fe1, dt, kin)
+
+        dv1 = (fa + kf_int * fp + kf_stage * fe0 + fp - b * v - k * x) / m
+        if dahl_on and ve != 0.0:
+            g = 1.0 - (fd / F_c) * (1.0 if ve > 0.0 else -1.0)
+            dfd1 = sigma * ve * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve * g
+        else:
+            dfd1 = 0.0
+
+        x2 = x + h * v
+        v2 = v + h * dv1
+        if forced:
+            dve1 = (fe0 - fp - b_e * ve - k_e * xe - fd) / m_e
+            xe2 = xe + h * ve
+            ve2 = ve + h * dve1
+        fd2 = fd + h * dfd1
+        fp = b_s * (ve2 - v2) + k_s * (xe2 - x2)
+        dv2 = (fa + kf_int * fp + kf_stage * feh + fp - b * v2 - k * x2) / m
+        if dahl_on and ve2 != 0.0:
+            g = 1.0 - (fd2 / F_c) * (1.0 if ve2 > 0.0 else -1.0)
+            dfd2 = sigma * ve2 * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve2 * g
+        else:
+            dfd2 = 0.0
+
+        x3 = x + h * v2
+        v3 = v + h * dv2
+        if forced:
+            dve2 = (feh - fp - b_e * ve2 - k_e * xe2 - fd2) / m_e
+            xe3 = xe + h * ve2
+            ve3 = ve + h * dve2
+        fd3 = fd + h * dfd2
+        fp = b_s * (ve3 - v3) + k_s * (xe3 - x3)
+        dv3 = (fa + kf_int * fp + kf_stage * feh + fp - b * v3 - k * x3) / m
+        if dahl_on and ve3 != 0.0:
+            g = 1.0 - (fd3 / F_c) * (1.0 if ve3 > 0.0 else -1.0)
+            dfd3 = sigma * ve3 * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve3 * g
+        else:
+            dfd3 = 0.0
+
+        x4 = x + dt * v3
+        v4 = v + dt * dv3
+        if forced:
+            dve3 = (feh - fp - b_e * ve3 - k_e * xe3 - fd3) / m_e
+            xe4 = xe + dt * ve3
+            ve4 = ve + dt * dve3
+        fd4 = fd + dt * dfd3
+        fp = b_s * (ve4 - v4) + k_s * (xe4 - x4)
+        dv4 = (fa + kf_int * fp + kf_stage * fe1 + fp - b * v4 - k * x4) / m
+        if dahl_on and ve4 != 0.0:
+            g = 1.0 - (fd4 / F_c) * (1.0 if ve4 > 0.0 else -1.0)
+            dfd4 = sigma * ve4 * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve4 * g
+        else:
+            dfd4 = 0.0
+
+        x += w * (v + 2.0 * (v2 + v3) + v4)
+        v += w * (dv1 + 2.0 * (dv2 + dv3) + dv4)
+        if forced:
+            dve4 = (fe1 - fp - b_e * ve4 - k_e * xe4 - fd4) / m_e
+            xe += w * (ve + 2.0 * (ve2 + ve3) + ve4)
+            ve += w * (dve1 + 2.0 * (dve2 + dve3) + dve4)
+        else:
+            xe, ve = xe4, ve4
+        fd += w * (dfd1 + 2.0 * (dfd2 + dfd3) + dfd4)
+        if dahl_on:
+            if fd > F_c:
+                fd = F_c
+            elif fd < -F_c:
+                fd = -F_c
         # A NaN fails every comparison, so `<=` also rejects non-finite states.
         if not (
             abs(x) <= limit and abs(v) <= limit and abs(xe) <= limit and abs(ve) <= limit

@@ -1,10 +1,10 @@
 """Excitation signal specifications for simulation experiments.
 
-Each spec is a small frozen dataclass of parameters. The waveforms are
-defined once, in :func:`as_signal`, as scalar functions of continuous time
-``t``; the simulator evaluates them at the integrator stage times. The
-prescribed endpoint motion of :class:`SineMotionSpec` is likewise scalar, in
-its ``position``, ``velocity`` and ``acceleration`` methods.
+Each spec is a small frozen dataclass of parameters. The force waveforms
+are defined once, in :func:`as_signal`, as scalar functions of continuous
+time ``t``; the simulator evaluates them at the integrator stage times. The
+one prescribed endpoint motion, :class:`SineMotionSpec`, is written in its
+methods and, in the same operation order, inline in the simulation loop.
 """
 
 from __future__ import annotations
@@ -90,7 +90,9 @@ class SineMotionSpec:
 
     Used by the kinematic backdrive mode, where the endpoint position is an
     authoritative source (one finger backdriving the other) and the external
-    force is a measured output. The methods take a scalar time.
+    force is a measured output. The scalar methods are the reference form:
+    the simulation loop does not call them, but evaluates the same products
+    from ``a omega`` and ``-a omega**2`` computed once, bit for bit.
     """
 
     amplitude: float

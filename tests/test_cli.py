@@ -343,6 +343,8 @@ duration = 5
             ("[controller]\ntype = composite\nff_dahl = no\nff_F_c = 0.03\n", "ff_F_c"),
             ("[analysis]\nbackdrive_cycles = 3\n", "backdrive_cycles"),
             ("[analysis]\nbackdrive_omega = 0\n", "backdrive_omega"),
+            ("[analysis]\nbackdrive_amplitude = 0\n", "backdrive_amplitude"),
+            ("[analysis]\ntype = impedance\nforce_amplitude = 0\n", "force_amplitude"),
             ("[controller]\ntype = composite\nff_b_s = 0\n", "ff_b_s"),
             ("[controller]\ntype = composite\n\n[plant]\nb_s = 0\n", "ff_b_s"),
             ("[excitation]\ntype = chirp\nf1 = 100\nduration = 0.003\n\n[analysis]\ntype = sysid\n",

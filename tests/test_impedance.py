@@ -147,6 +147,25 @@ class TestMeasureImpedance:
         periods = 2 * math.pi / fr.omegas
         assert durations == pytest.approx([3 * periods[0], 18 * periods[1]], rel=1e-12)
 
+    def test_settle_floor_of_one_period(self, gripper, monkeypatch):
+        # at 0.3 rad/s, 5 s is a quarter period; the hysteretic PD-hold point
+        # settles in one run only because it settles for a whole period
+        import fluidsea.impedance as imp
+        from fluidsea.controllers import PDConfig
+
+        calls = []
+        original = imp.simulate
+
+        def counting_simulate(*args, **kwargs):
+            calls.append(kwargs["duration"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(imp, "simulate", counting_simulate)
+        pd = PDConfig(K_p=88.4, K_d=1.768, delay_samples=1)
+        fr = measure_impedance(gripper, pd, FrequencyGrid(np.array([0.3])), dt=DT)
+        assert len(calls) == 1
+        assert fr.valid[0]
+
     def test_port_validation(self, gripper_linear):
         with pytest.raises(ValueError):
             measure_impedance(

@@ -21,7 +21,6 @@ from fluidsea.plant import (
     PlantParams,
     PlantState,
     SimulationDivergedError,
-    _make_stepper,
     simulate,
     simulate_backdriven,
 )
@@ -65,27 +64,10 @@ class TestInternalForce:
         assert _line_force(gripper, s) == pytest.approx(9.2453e-3, rel=1e-12)
 
 
-class _Ramp:
-    """Endpoint moving from the origin at constant velocity ``v``."""
-
-    def __init__(self, v):
-        self.v = v
-
-    def position(self, t):
-        return self.v * t
-
-    def velocity(self, t):
-        return self.v
-
-    def acceleration(self, t):
-        return 0.0
-
-
-def _dahl_step(params, fd, ve, dt=DT):
-    """The Dahl state after one stepper step with the endpoint held at velocity ve."""
-    kin = (0.5 * dt * ve, ve, dt * ve, ve)
-    rk4 = _make_stepper(params)
-    return rk4(0.0, 0.0, 0.0, ve, fd, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, dt, kin)[4]
+def _dahl_step(params, fd, ve, dt=DT, f_ext=None):
+    """The Dahl state after one step of the passive plant from v_e = ve, F_d = fd."""
+    s0 = PlantState(v_e=ve, f_d=fd)
+    return simulate(params, None, f_ext, None, duration=2 * dt, dt=dt, initial_state=s0).F_d[1]
 
 
 class TestDahlRate:
@@ -97,19 +79,22 @@ class TestDahlRate:
         assert _dahl_step(gripper, gripper.F_c, 2.0) == gripper.F_c
 
     def test_rest_is_fixed_point(self, gripper):
-        assert _dahl_step(gripper, 0.01, 0.0) == 0.01
+        # f_ext = F_d balances the endpoint at rest, so every stage rate is exactly 0
+        assert _dahl_step(gripper, 0.01, 0.0, f_ext=0.01) == 0.01
 
     def test_disabled_element(self, gripper_linear):
         assert _dahl_step(gripper_linear, 0.0, 1.0) == 0.0
 
     def test_closed_form_trajectory(self, gripper):
-        # constant v_e from rest: F_d(dx) = F_c (1 - exp(-sigma dx / F_c))
+        # the n = 1 law is rate independent: along the rising first quarter of a
+        # sine from rest, F_d(x_e) = F_c (1 - exp(-sigma x_e / F_c))
         p = gripper
-        v, h = 1.0, DT
-        n = int(round((p.F_c / p.sigma) / (v * h)))
-        tr = simulate_backdriven(p, None, _Ramp(v), duration=(n + 1) * h, dt=h)
+        n = 100  # x_e reaches F_c / sigma at step n, a sixth of the period
+        omega = (math.pi / 6.0) / (n * DT)
+        motion = SineMotionSpec(2.0 * p.F_c / p.sigma, omega)
+        tr = simulate_backdriven(p, None, motion, duration=(n + 1) * DT, dt=DT)
         fd = tr.F_d[n]
-        dx = n * v * h
+        dx = tr.x_e[n]
         want = p.F_c * (1.0 - math.exp(-p.sigma * dx / p.F_c))
         assert fd == pytest.approx(want, rel=1e-4)
         assert fd == pytest.approx(0.02023, abs=2e-5)
@@ -132,7 +117,11 @@ class TestStep:
         with pytest.raises(ValueError):
             simulate(gripper, None, None, None, duration=0.1, dt=0.02)
         with pytest.raises(ValueError):
-            simulate_backdriven(gripper, None, _Ramp(1.0), duration=0.1, dt=0.02)
+            simulate_backdriven(gripper, None, SineMotionSpec(0.5, 1.0), duration=0.1, dt=0.02)
+
+    def test_motion_must_be_sine(self, gripper):
+        with pytest.raises(TypeError, match="SineMotionSpec"):
+            simulate_backdriven(gripper, None, SineSpec(0.5, 1.0), duration=0.1)
 
     def test_dc_force_balance(self, gripper_linear):
         p = gripper_linear
@@ -149,18 +138,9 @@ class TestStep:
         assert abs(fine.x_e[-2] - coarse.x_e[-1]) / scale < 1e-6
         assert abs(fine.v_e[-2] - coarse.v_e[-1]) / max(abs(coarse.v_e[-1]), 1e-12) < 1e-6
 
-    def test_simulate_matches_repeated_step(self, gripper):
-        p = gripper
-        tr = simulate(p, None, 0.05, None, duration=0.5, dt=DT)
-        rk4 = _make_stepper(p)
-        s = (0.0,) * 5
-        for _ in range(len(tr) - 1):
-            s = rk4(*s, 0.0, 0.0, 0.0, 0.05, 0.05, 0.05, DT)
-        assert s == (tr.x[-1], tr.v[-1], tr.x_e[-1], tr.v_e[-1], tr.F_d[-1])
-
 
 def _reference_rk4(params):
-    """RK4 step through a nested right-hand side: the form the stepper inlines."""
+    """RK4 step through a nested right-hand side: the form the loop inlines."""
     p = params
 
     def rk4(x, v, xe, ve, fd, fa, kf_int, kf_ext, fe0, feh, fe1, dt):
@@ -196,19 +176,28 @@ def _reference_rk4(params):
     return rk4
 
 
-@pytest.mark.parametrize("n_dahl", [1.0, 0.5, 2.0])
-@pytest.mark.parametrize("hysteresis", [True, False])
-def test_stepper_equals_nested_reference(n_dahl, hysteresis):
-    p = PlantParams.gripper() if hysteresis else PlantParams.gripper().without_hysteresis()
-    p = replace(p, n_dahl=n_dahl)
-    fast, ref = _make_stepper(p), _reference_rk4(p)
-    rng = np.random.default_rng(7)
-    for row in rng.uniform(-1.0, 1.0, size=(2000, 11)).tolist():
-        x, v, xe, ve, fd, fa, kf_int, kf_ext, fe0, feh, fe1 = row
-        if row[0] > 0.8:
-            ve = 0.0  # the Dahl rate is zero at rest
-        args = (x, v, xe, ve, 0.032 * fd, fa, kf_int, kf_ext, fe0, feh, fe1, DT)
-        assert np.array(fast(*args)).tobytes() == np.array(ref(*args)).tobytes()
+def _reference_simulate(params, controller, f_ext, f_ref, duration, initial_state, dt=DT):
+    """Force-source loop over the nested-rhs RK4 step: the form the shared loop replaces."""
+    ctrl = make_controller(controller, dt)
+    fe_fn, fref_fn = as_signal(f_ext), as_signal(f_ref)
+    kf_int = ctrl.stage_gain_internal
+    kf_ext = ctrl.stage_gain_external
+    p = params
+    rk4 = _reference_rk4(p)
+    s0 = initial_state
+    state = (s0.x, s0.v, s0.x_e, s0.v_e, s0.f_d)
+    n = int(round(duration / dt))
+    cols = np.empty((n, 11))
+    for i in range(n):
+        t = i * dt
+        x, v, xe, ve, fd = state
+        fp = p.b_s * (ve - v) + p.k_s * (xe - x)
+        fe, fref = fe_fn(t), fref_fn(t)
+        fa = ctrl.step(fp, v, x, fref)
+        cols[i] = (t, x, v, xe, ve, fp, fe, fa + kf_int * fp + kf_ext * fe, fd,
+                   ctrl.last_f_cmp, fref)
+        state = rk4(*state, fa, kf_int, kf_ext, fe, fe_fn(t + 0.5 * dt), fe_fn(t + dt), dt)
+    return {name: cols[:, i].copy() for i, name in enumerate(TRACE_COLUMNS)}
 
 
 def _reference_backdriven(params, controller, motion, duration, dt=DT, f_ref=None):
@@ -278,14 +267,32 @@ def _backdrive_controllers(m):
     }
 
 
+_PLANTS = {
+    "n_dahl=1": PlantParams.gripper(),
+    "n_dahl=0.5": replace(PlantParams.gripper(), n_dahl=0.5),
+    "n_dahl=2": replace(PlantParams.gripper(), n_dahl=2.0),
+    "linear": PlantParams.gripper().without_hysteresis(),
+}
+
+
 @pytest.mark.parametrize("kind", list(_backdrive_controllers(1.0)))
-@pytest.mark.parametrize("plant", ["n_dahl=1", "n_dahl=0.5", "linear"])
+@pytest.mark.parametrize("plant", list(_PLANTS))
+def test_simulate_equals_nested_reference(plant, kind):
+    p = _PLANTS[plant]
+    ctrl = _backdrive_controllers(p.m)[kind]
+    f_ext = SineSpec(0.05, 3.0)
+    f_ref = SineSpec(0.01, 2.0)
+    s0 = PlantState(x=0.01, v=-0.2, x_e=0.02, v_e=0.3, f_d=0.005)
+    got = simulate(p, ctrl, f_ext, f_ref, duration=1.0, dt=DT, initial_state=s0)
+    want = _reference_simulate(p, ctrl, f_ext, f_ref, duration=1.0, initial_state=s0)
+    for name in TRACE_COLUMNS:
+        assert getattr(got, name).tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("kind", list(_backdrive_controllers(1.0)))
+@pytest.mark.parametrize("plant", list(_PLANTS))
 def test_backdriven_equals_nested_reference(plant, kind):
-    p = {
-        "n_dahl=1": PlantParams.gripper(),
-        "n_dahl=0.5": replace(PlantParams.gripper(), n_dahl=0.5),
-        "linear": PlantParams.gripper().without_hysteresis(),
-    }[plant]
+    p = _PLANTS[plant]
     ctrl = _backdrive_controllers(p.m)[kind]
     motion = SineMotionSpec(0.5, snap_omega(3.0, DT))
     f_ref = SineSpec(0.01, 2.0)
