@@ -289,6 +289,31 @@ def test_simulate_equals_nested_reference(plant, kind):
         assert getattr(got, name).tobytes() == want[name].tobytes(), name
 
 
+@pytest.mark.parametrize("n_dahl", [1.0, 0.5, 2.0])
+@pytest.mark.parametrize("hysteresis", [True, False])
+def test_stepper_equals_nested_reference(n_dahl, hysteresis):
+    # one step of the loop from random states, actuator forces, stage gains and
+    # external forces with distinct values at the three stage times
+    p = PlantParams.gripper() if hysteresis else PlantParams.gripper().without_hysteresis()
+    p = replace(p, n_dahl=n_dahl)
+    rng = np.random.default_rng(7)
+    for i, row in enumerate(rng.uniform(-1.0, 1.0, size=(600, 10)).tolist()):
+        x, v, xe, ve, fd, gain, target, fe0, c1, c2 = row
+        if row[0] > 0.8:
+            ve = 0.0  # the Dahl rate is zero at rest
+        s0 = PlantState(x=x, v=v, x_e=xe, v_e=ve, f_d=0.032 * fd)
+        ctrl = (
+            PDConfig(K_p=20.0 * abs(gain), K_d=abs(gain), x_target=target),
+            ProportionalFFConfig(gain, "internal"),
+            ProportionalFFConfig(gain, "external"),
+        )[i % 3]
+        f_ext = lambda t: fe0 + t * (1e3 * c1 + t * 1e6 * c2)  # noqa: E731
+        got = simulate(p, ctrl, f_ext, None, duration=2 * DT, dt=DT, initial_state=s0)
+        want = _reference_simulate(p, ctrl, f_ext, None, duration=2 * DT, initial_state=s0)
+        for name in TRACE_COLUMNS:
+            assert getattr(got, name).tobytes() == want[name].tobytes(), (i, name)
+
+
 @pytest.mark.parametrize("kind", list(_backdrive_controllers(1.0)))
 @pytest.mark.parametrize("plant", list(_PLANTS))
 def test_backdriven_equals_nested_reference(plant, kind):
