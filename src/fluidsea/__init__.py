@@ -39,7 +39,7 @@ from .passivity import (
     PassivityReport,
     check_passive,
     dob_admittance,
-    endpoint_impedance_ff,
+    endpoint_impedance,
     nominal_bounds,
 )
 from .plant import (

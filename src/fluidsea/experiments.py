@@ -234,18 +234,15 @@ def _run_sysid(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
 def _run_impedance(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
     grid = cfg.analysis.grid()
     if cfg.analysis.method == "closed_form":
-        curves = {
-            "impedance_passive.csv": pas.endpoint_impedance_ff(cfg.plant, 0.0),
-            "impedance_internal.csv": pas.endpoint_impedance_ff(cfg.plant, 1.0, "internal"),
-            "impedance_external.csv": pas.endpoint_impedance_ff(
-                cfg.plant,
-                cfg.controller.K_f
-                if isinstance(cfg.controller, ProportionalFFConfig)
-                and cfg.controller.source == "external"
-                else 1.0,
-                "external",
-            ),
-        }
+        ctrls = {} if cfg.controller is None else {"impedance.csv": cfg.controller}
+        ctrls.update({"impedance_passive.csv": None,
+                      "impedance_internal.csv": ProportionalFFConfig(1.0, "internal"),
+                      "impedance_external.csv": ProportionalFFConfig(1.0, "external")})
+        try:
+            curves = {name: pas.endpoint_impedance(cfg.plant, c) for name, c in ctrls.items()}
+        except ValueError as exc:  # a PD delay, the one config without a closed form
+            raise ConfigError(f"[controller] delay_samples = {cfg.controller.delay_samples} "
+                              f"under [analysis] method = closed_form: {exc}") from exc
         for name, tf in curves.items():
             fr = sid.FrequencyResponse.from_tf(tf, grid)
             art.write(name, lambda p: _impedance_csv(p, fr))
@@ -320,9 +317,11 @@ def _run_zwidth(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
 
 
 def _run_passivity(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
-    ctrl = cfg.controller
+    ctrl, note = cfg.controller, []
     if isinstance(ctrl, CompositeConfig):
         ctrl = ctrl.dob
+        note = ["composite: only the observer admittance Y is tested; the feedforward "
+                "is not part of Y"]
     if not isinstance(ctrl, DOBConfig):
         raise ConfigError("[controller] passivity analysis requires a dob or composite type")
     p = cfg.plant
@@ -331,6 +330,7 @@ def _run_passivity(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
     report = pas.check_passive(Y)
     text = [
         "observer admittance passivity report",
+        *note,
         f"plant: m {p.m}, b {p.b}, k {p.k}",
         f"nominal: m_n {ctrl.m_n}, b_n {ctrl.b_n}, k_n {ctrl.k_n}, lambda {ctrl.lam} rad/s",
         "",
@@ -640,8 +640,8 @@ _PRESETS = {
         "chirp identification: sub-plant FRFs, fits, parameters",
     ),
     "fig5-ff-compare": (
-        _preset(ProportionalFFConfig(K_f=1.0, source="external"), kind="impedance",
-                method="closed_form", grid_min=1e-2, grid_max=1e3, grid_points=181),
+        _preset(kind="impedance", method="closed_form", grid_min=1e-2, grid_max=1e3,
+                grid_points=181),
         "closed-form endpoint impedance: passive vs internal vs external feedback",
     ),
     "fig6a-workloop": (

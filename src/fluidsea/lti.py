@@ -122,9 +122,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -211,16 +208,6 @@ class RationalTF:
     @property
     def is_proper(self) -> bool:
         return self.num.degree <= self.den.degree
-
-    def __call__(self, s):
-        return self.num(s) / self.den(s)
-
-    def __mul__(self, other) -> "RationalTF":
-        if isinstance(other, RationalTF):
-            return RationalTF(self.num * other.num, self.den * other.den)
-        return RationalTF(self.num * float(other), self.den)
-
-    __rmul__ = __mul__
 
     def eval(self, omega: float) -> complex:
         """Frequency response ``num(j omega) / den(j omega)``.
@@ -311,9 +298,6 @@ class FrequencyGrid:
 
     def __len__(self) -> int:
         return self.omegas.size
-
-    def __iter__(self):
-        return iter(self.omegas)
 
 
 # ---------------------------------------------------------------------------

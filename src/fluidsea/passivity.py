@@ -20,8 +20,9 @@ coefficients:
 
 This module builds Y(s), evaluates the bounds, runs the three-criteria
 numeric test (grid sweep plus an exact even-polynomial certificate for
-criterion (iii)), and provides the closed-form endpoint impedance under
-proportional internal or external force feedback.
+criterion (iii)), and holds the package's one linear port model,
+``endpoint_impedance``: the endpoint impedance under any controller, whose
+low edge bounds the Z-width (Colgate & Brown, ICRA 1994).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .controllers import CompositeConfig, DOBConfig, PDConfig, ProportionalFFConfig
 from .csvio import write_csv
 from .lti import (
     AXIS_RTOL,
@@ -46,7 +48,7 @@ __all__ = [
     "PassivityReport",
     "check_passive",
     "dob_admittance",
-    "endpoint_impedance_ff",
+    "endpoint_impedance",
     "nominal_bounds",
     "real_part_certificate",
 ]
@@ -255,31 +257,45 @@ def check_passive(tf: RationalTF, grid: FrequencyGrid | None = None) -> Passivit
 
 
 # ---------------------------------------------------------------------------
-# Endpoint impedance under proportional force feedback
+# Endpoint impedance: the motor side is a one-port behind the line
 # ---------------------------------------------------------------------------
 
 
-def endpoint_impedance_ff(
-    params: PlantParams, K_f: float, source: str = "internal"
-) -> RationalTF:
-    """Endpoint impedance Z_e(s) = F_e / V_e under proportional force feedback.
+def endpoint_impedance(params: PlantParams, controller) -> RationalTF:
+    """Endpoint impedance Z_e(s) = F_e / V_e of the plant without hysteresis,
+    under a controller configuration or None (passive).
 
-    With F_a = K_f F_p (internal) or K_f F_e (external) on the linearized
-    plant (hysteresis ignored), eliminating X and F_p gives
-
-        Z_e = (E (M + g L) + L M) / (s (M + (1 + K_f) L)),
-
-    with the motor, endpoint and line polynomials M = m s^2 + b s + k,
-    E = m_e s^2 + b_e s + k_e and L = b_s s + k_s, and g = 1 + K_f for
-    internal feedback, g = 1 for external. The result is reduced. K_f = 0
-    gives the passive endpoint impedance.
+    The motor and its controller form a one-port V/F_p = s A/Q behind the
+    line. With E = m_e s^2 + b_e s + k_e, L = b_s s + k_s, M = m s^2 + b s + k
+    and D = Q + A L, Z_e = (E D + L Q) / (s D), reduced. (A, Q) is (1, M)
+    passive, (1 + K_f, M) under internal feedback, (1, M + K_d s + K_p) under
+    PD, and (num / s, den) of ``dob_admittance`` under the observer, which the
+    composite's feedforward estimates F = b_e s + k_e and L^ = b_s s + k_s
+    turn into (A (L^ + F), L^ (Q - A F)). External feedback keeps its form
+    (E (M + L) + L M) / (s (M + (1 + K_f) L)). A PD delay has no rational
+    form (ValueError); anything but a configuration or None is a TypeError.
     """
-    if source not in ("internal", "external"):
-        raise ValueError("source must be 'internal' or 'external'")
     M = Polynomial([params.m, params.b, params.k])
     E = Polynomial([params.m_e, params.b_e, params.k_e])
     L = Polynomial([params.b_s, params.k_s])
-    g = 1.0 + K_f if source == "internal" else 1.0
-    num = E * (M + g * L) + L * M
-    den = Polynomial([1.0, 0.0]) * (M + (1.0 + K_f) * L)
-    return RationalTF(num, den).reduced()
+    s, ctrl, A, Q = Polynomial([1.0, 0.0]), controller, 1.0, M
+    if isinstance(ctrl, ProportionalFFConfig) and ctrl.source == "external":
+        return RationalTF(E * (M + L) + L * M, s * (M + (1.0 + ctrl.K_f) * L)).reduced()
+    if isinstance(ctrl, ProportionalFFConfig):
+        A = 1.0 + ctrl.K_f
+    elif isinstance(ctrl, PDConfig):
+        if ctrl.delay_samples:
+            raise ValueError("a PD delay has no rational closed form")
+        Q = M + Polynomial([ctrl.K_d, ctrl.K_p])
+    elif isinstance(ctrl, (DOBConfig, CompositeConfig)):
+        # A and Q must share the monic scale of one RationalTF
+        Y = dob_admittance(params, ctrl.dob if isinstance(ctrl, CompositeConfig) else ctrl)
+        A, Q = Polynomial(Y.num.coeffs[:-1]), Y.den
+        if isinstance(ctrl, CompositeConfig):
+            ff = ctrl.feedforward
+            F, L_hat = Polynomial([ff.b_e, ff.k_e]), Polynomial([ff.b_s, ff.k_s])
+            A, Q = A * (L_hat + F), L_hat * (Q - A * F)
+    elif ctrl is not None:
+        raise TypeError(f"unsupported ctrl configuration: {ctrl!r}")
+    D = Q + A * L
+    return RationalTF(E * D + L * Q, s * D).reduced()

@@ -24,7 +24,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fluidsea.controllers import CompositeConfig, DOBConfig, FeedforwardConfig
+from fluidsea.controllers import (
+    CompositeConfig,
+    DOBConfig,
+    FeedforwardConfig,
+    ProportionalFFConfig,
+)
 from fluidsea.impedance import (
     fit_dahl,
     max_stable_pd,
@@ -34,7 +39,7 @@ from fluidsea.impedance import (
     zwidth,
 )
 from fluidsea.lti import FrequencyGrid, Polynomial, RationalTF, residues_at_imag_poles
-from fluidsea.passivity import check_passive, dob_admittance, endpoint_impedance_ff, nominal_bounds
+from fluidsea.passivity import check_passive, dob_admittance, endpoint_impedance, nominal_bounds
 from fluidsea.plant import simulate
 from fluidsea.signals import ChirpSpec, SineSpec
 from fluidsea.sysid import run_sysid
@@ -53,37 +58,18 @@ def dc_stiffness(tf):
     return tf.num.coeffs[-1] / tf.den.coeffs[-2]
 
 
-def closed_form_endpoint_impedance(p, dob, omega, feedforward=False):
-    """Endpoint impedance Z_e(j omega) under the observer, hysteresis left out.
-
-    The observer turns the motor into a one-port with admittance
-    Y = V / (F_p + F_cmp) (``dob_admittance``) behind the line
-    Z_L = b_s + k_s/s. The feedforward, with matched model coefficients,
-    adds F_cmp = Z_f V_e with Z_f = b_e + k_e/s, so
-
-        Z_e = m_e s + b_e + k_e/s - Z_f + (Z_L + Z_f) / (1 + Y Z_L).
-
-    Without feedforward (Z_f = 0) this is Z_E + 1 / (Y + 1/Z_L).
-    """
-    s = 1j * omega
-    y = dob_admittance(p, dob).eval(omega)
-    z_line = p.b_s + p.k_s / s
-    z_f = p.b_e + p.k_e / s if feedforward else 0.0
-    return p.m_e * s + p.b_e + p.k_e / s - z_f + (z_line + z_f) / (1.0 + y * z_line)
-
-
 def test_criterion_1_low_frequency_limits(gripper_linear):
     """DC stiffness limits of internal force feedback. Runtime < 1 s."""
     t0 = time.time()
     p = gripper_linear
-    z_int = endpoint_impedance_ff(p, 1.0, "internal")
+    z_int = endpoint_impedance(p, ProportionalFFConfig(1.0))
     general = dc_stiffness(z_int)
     closed_form = ((p.k + 2 * p.k_e) * p.k_s + p.k * p.k_e) / (2 * p.k_s + p.k)
     ok1 = abs(general - closed_form) / closed_form <= 1e-6
     ok2 = round(general, 5) == 0.14529
 
     stiff = replace(p, k=1e4)  # non-backdrivable regime
-    hard = dc_stiffness(endpoint_impedance_ff(stiff, 1.0, "internal"))
+    hard = dc_stiffness(endpoint_impedance(stiff, ProportionalFFConfig(1.0)))
     ok3 = abs(hard - (stiff.k_s + stiff.k_e)) / (stiff.k_s + stiff.k_e) <= 0.01
 
     # identified values already sit in the backdrivable regime k_s >> k, k_e
@@ -216,7 +202,7 @@ def test_criterion_4_dob_impedance_reduction(gripper, gripper_linear, reduction_
     asserts on. The 20 rad/s reading cannot meet the band near 10 rad/s: the
     first-order Q filter has rolled off by half there. Its sweep is printed
     next to the 20 Hz one, and on the linear plant its reduction at 10 rad/s
-    must equal the closed form from ``dob_admittance`` (about 1.9 dB) within
+    must equal the closed form from ``endpoint_impedance`` (about 1.9 dB) within
     0.1 dB. All three sweeps must be valid.
     """
     t0 = time.time()
@@ -242,8 +228,8 @@ def test_criterion_4_dob_impedance_reduction(gripper, gripper_linear, reduction_
     red_lin = 20 * np.log10(abs(lin_passive.H[0]) / abs(lin_dob.H[0]))
     w_top = lin_passive.omegas[0]
     red_cf = 20 * np.log10(
-        abs(endpoint_impedance_ff(lin, 0.0).eval(w_top))
-        / abs(closed_form_endpoint_impedance(lin, dob_lin, w_top))
+        abs(endpoint_impedance(lin, None).eval(w_top))
+        / abs(endpoint_impedance(lin, dob_lin).eval(w_top))
     )
     ok_cf = (
         abs(red_lin - red_cf) <= 0.1 and lin_passive.valid[0] and lin_dob.valid[0]
@@ -326,10 +312,9 @@ def test_criterion_7_zwidth(gripper):
     achievement, and the model has no hardware friction or sensor floor, so
     nothing caps the width from above; it grows 20 dB per decade toward DC.
     The measured width must also equal the closed form within 0.5 dB: z_min
-    is the composite endpoint impedance from ``dob_admittance`` with the
-    line and endpoint elements (about the observer's residual damping
-    k/lambda), z_max the motor-port impedance m s + b + k/s + K_p/s + K_d at
-    the swept PD gains.
+    is the composite's linear endpoint impedance from ``endpoint_impedance``
+    (about the observer's residual damping k/lambda), z_max the motor-port
+    impedance m s + b + k/s + K_p/s + K_d at the swept PD gains.
     """
     t0 = time.time()
     p = gripper
@@ -351,7 +336,7 @@ def test_criterion_7_zwidth(gripper):
 
     w_dc = z_min_dc.omegas[0]
     s = 1j * w_dc
-    z_min_cf = closed_form_endpoint_impedance(p, min_dob, w_dc, feedforward=True)
+    z_min_cf = endpoint_impedance(p, min_ctrl).eval(w_dc)
     z_max_cf = p.m * s + p.b + (p.k + pd_cfg.K_p) / s + pd_cfg.K_d
     width_cf = 20 * np.log10(abs(z_max_cf) / abs(z_min_cf))
     ok_motor = (
@@ -390,7 +375,7 @@ def test_criterion_8_numerical_hygiene(gripper_linear):
 
     grid = FrequencyGrid.log_spaced(0.1, 100.0, 7)
     fr = measure_impedance(p, None, grid, dt=DT)
-    Z = endpoint_impedance_ff(p, 0.0)
+    Z = endpoint_impedance(p, None)
     mag_err = ph_err = 0.0
     for w, h in zip(fr.omegas, fr.H):
         want = Z.eval(w)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluidsea.cli import main
-from fluidsea.controllers import CompositeConfig
+from fluidsea.controllers import CompositeConfig, DOBConfig, ProportionalFFConfig
 from fluidsea.experiments import (
     ArtifactWriter,
     ConfigError,
@@ -19,6 +19,10 @@ from fluidsea.experiments import (
     run_preset,
     serialize_config,
 )
+from fluidsea.lti import FrequencyGrid
+from fluidsea.passivity import endpoint_impedance
+from fluidsea.plant import PlantParams
+from fluidsea.sysid import FrequencyResponse
 
 WORKLOOP_CFG = """
 [controller]
@@ -361,6 +365,9 @@ duration = 5
             ("[excitation]\ntype = chirp\nf1 = 1000\n\n[run]\nallow_nyquist = false\n", "f1"),
             ("[excitation]\ntype = chirp\nf1 = 1000\n\n[analysis]\ntype = sysid\n"
              "\n[run]\nallow_nyquist = false\n", "f1"),
+            # a delay has no rational closed form
+            ("[controller]\ntype = pd\nK_p = 1\nK_d = 0.1\ndelay_samples = 1\n"
+             "\n[analysis]\ntype = impedance\nmethod = closed_form\n", "delay_samples"),
         ],
     )
     def test_malformed_value_exit_code(self, tmp_path, capsys, text, key):
@@ -473,6 +480,40 @@ duration = 5
         assert main(["impedance", str(cfg_path), "--out", str(out)]) == 0
         assert len(calls) == 2
         assert (out / "impedance.csv").read_bytes() == (out / "impedance_passive.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "controller, config",
+        [
+            ("type = dob\nlambda = 20\n", DOBConfig(lam=20.0, m_n=PlantParams.gripper().m)),
+            ("type = proportional\nK_f = 3\n", ProportionalFFConfig(3.0, "internal")),
+        ],
+        ids=["dob", "internal-K_f-3"],
+    )
+    def test_closed_form_writes_configured_controller(self, tmp_path, controller, config):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(f"[controller]\n{controller}\n[analysis]\ntype = impedance\n"
+                            "method = closed_form\ngrid_points = 7\n")
+        out = tmp_path / "imp"
+        assert main(["impedance", str(cfg_path), "--out", str(out)]) == 0
+        grid = FrequencyGrid.log_spaced(0.1, 100.0, 7)  # the [analysis] defaults, 7 points
+        fr = FrequencyResponse.from_tf(endpoint_impedance(PlantParams.gripper(), config), grid)
+        want = np.column_stack([fr.omegas, 20 * np.log10(np.abs(fr.H)), np.degrees(np.angle(fr.H))])
+        got = np.loadtxt(out / "impedance.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(got, want, rtol=1e-8)
+        # the three reference curves stay at K_f = 1, whatever is configured
+        internal = np.loadtxt(out / "impedance_internal.csv", delimiter=",", skiprows=1)
+        assert not np.allclose(got[:, 1], internal[:, 1])
+        assert (out / "impedance_passive.csv").exists()
+        assert (out / "impedance_external.csv").exists()
+
+    def test_composite_passivity_report_names_what_was_tested(self, tmp_path):
+        for kind in ("dob", "composite"):
+            cfg_path = tmp_path / f"{kind}.ini"
+            cfg_path.write_text(PASSIVITY_CFG.replace("type = dob", f"type = {kind}"))
+            out = tmp_path / kind
+            assert main(["passivity", str(cfg_path), "--out", str(out)]) == 0
+            report = (out / "passivity_report.txt").read_text()
+            assert ("feedforward is not part of Y" in report) == (kind == "composite")
 
     def test_zwidth_command_small_grid(self, gripper, tmp_path):
         cfg_path = tmp_path / "exp.ini"

@@ -18,7 +18,7 @@ from fluidsea.impedance import (
     zwidth,
 )
 from fluidsea.lti import FrequencyGrid
-from fluidsea.passivity import endpoint_impedance_ff
+from fluidsea.passivity import endpoint_impedance
 from fluidsea.plant import SimTrace
 from fluidsea.sysid import FrequencyResponse
 
@@ -92,7 +92,7 @@ class TestMeasureImpedance:
     def test_passive_linear_matches_closed_form(self, gripper_linear):
         grid = FrequencyGrid(np.array([0.5, 5.0, 50.0]))
         fr = measure_impedance(gripper_linear, None, grid)
-        Z = endpoint_impedance_ff(gripper_linear, 0.0)
+        Z = endpoint_impedance(gripper_linear, None)
         for w, h, ok in zip(fr.omegas, fr.H, fr.valid):
             assert ok
             want = Z.eval(w)

@@ -1,17 +1,33 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluidsea.controllers import DOBConfig
+from fluidsea.controllers import (
+    CompositeConfig,
+    DOBConfig,
+    FeedforwardConfig,
+    PDConfig,
+    ProportionalFFConfig,
+)
+from fluidsea.impedance import measure_impedance
 from fluidsea.lti import FrequencyGrid, Polynomial, RationalTF, residues_at_imag_poles
 from fluidsea.passivity import (
     check_passive,
     dob_admittance,
-    endpoint_impedance_ff,
+    endpoint_impedance,
     nominal_bounds,
     real_part_certificate,
 )
+from fluidsea.plant import PlantParams
 
 LAM = 20.0
+
+
+def proportional(K_f, source="internal"):
+    return ProportionalFFConfig(K_f, source)
 
 
 def dc_stiffness(tf):
@@ -163,20 +179,20 @@ class TestCheckPassive:
 class TestEndpointImpedance:
     def test_passive_dc_stiffness(self, gripper_linear):
         p = gripper_linear
-        Z = endpoint_impedance_ff(p, 0.0)
+        Z = endpoint_impedance(p, None)
         want = p.k_e + p.k * p.k_s / (p.k + p.k_s)
         assert dc_stiffness(Z) == pytest.approx(want, rel=1e-9)
         assert want == pytest.approx(0.2259, abs=5e-5)
 
     def test_internal_unit_gain_dc_stiffness(self, gripper_linear):
-        Z = endpoint_impedance_ff(gripper_linear, 1.0, "internal")
+        Z = endpoint_impedance(gripper_linear, proportional(1.0))
         assert dc_stiffness(Z) == pytest.approx(0.14529, abs=5e-6)
 
     def test_non_backdrivable_regime(self, gripper_linear):
         from dataclasses import replace
 
         p = replace(gripper_linear, k=1e4)
-        Z = endpoint_impedance_ff(p, 1.0, "internal")
+        Z = endpoint_impedance(p, proportional(1.0))
         assert dc_stiffness(Z) == pytest.approx(p.k_s + p.k_e, rel=0.01)
 
     def test_low_freq_limit_consistency_random_params(self):
@@ -190,29 +206,142 @@ class TestEndpointImpedance:
                 b_e=10 ** rng.uniform(-3, -1), k_e=10 ** rng.uniform(-3, 0),
                 b_s=10 ** rng.uniform(-3, -1), k_s=10 ** rng.uniform(0, 2),
             )
-            Z = endpoint_impedance_ff(p, 1.0, "internal")
+            Z = endpoint_impedance(p, proportional(1.0))
             assert dc_stiffness(Z) == pytest.approx(internal_dc_stiffness(p, 1.0), rel=1e-9)
 
     def test_source_validation(self, gripper_linear):
         with pytest.raises(ValueError):
-            endpoint_impedance_ff(gripper_linear, 1.0, "both")
+            endpoint_impedance(gripper_linear, proportional(1.0, "both"))
 
     def test_monotone_in_gain(self, gripper_linear):
         gains = np.linspace(0.0, 1.0, 11)
-        stiff = [dc_stiffness(endpoint_impedance_ff(gripper_linear, g)) for g in gains]
+        stiff = [dc_stiffness(endpoint_impedance(gripper_linear, proportional(g))) for g in gains]
         assert np.all(np.diff(stiff) < 0)
 
     def test_external_beats_internal_at_low_frequency(self, gripper_linear):
-        Zi = endpoint_impedance_ff(gripper_linear, 1.0, "internal")
-        Ze = endpoint_impedance_ff(gripper_linear, 1.0, "external")
+        Zi = endpoint_impedance(gripper_linear, proportional(1.0))
+        Ze = endpoint_impedance(gripper_linear, proportional(1.0, "external"))
         for w in np.logspace(-2, 0, 15):
             assert abs(Ze.eval(w)) <= abs(Zi.eval(w))
+
+
+def proportional_only_form(p, K_f, source):
+    """The explicit closed form of proportional feedback, written out apart
+    from ``endpoint_impedance``: Z_e = (E (M + g L) + L M) / (s (M + (1 + K_f) L))
+    with g = 1 + K_f for internal and g = 1 for external feedback."""
+    M = Polynomial([p.m, p.b, p.k])
+    E = Polynomial([p.m_e, p.b_e, p.k_e])
+    L = Polynomial([p.b_s, p.k_s])
+    g = 1.0 + K_f if source == "internal" else 1.0
+    num = E * (M + g * L) + L * M
+    den = Polynomial([1.0, 0.0]) * (M + (1.0 + K_f) * L)
+    return RationalTF(num, den).reduced()
+
+
+def loop_solve_impedance(p, ctrl, w):
+    """Z_e(j w) of the composite from the six loop equations, solved numerically.
+
+    Unknowns X, X_e, F_p, F_a, F_cmp, F_e, with X_e = 1:
+    M X = F_a + F_p, F_p = L (X_e - X), E X_e = F_e - F_p, the observer
+    F_a = F_cmp + (lam/s)(F_cmp + F_p - P_n s X) and the feedforward
+    F_cmp = F X + (F / L^) F_p.
+    """
+    s = 1j * w
+    dob, ff = ctrl.dob, ctrl.feedforward
+    M, E, L = p.m * s * s + p.b * s + p.k, p.m_e * s * s + p.b_e * s + p.k_e, p.b_s * s + p.k_s
+    F, L_hat = ff.b_e * s + ff.k_e, ff.b_s * s + ff.k_s
+    P_n = dob.m_n * s + dob.b_n + dob.k_n / s
+    q = dob.lam / s
+    rows = np.array([
+        [M, 0, -1, -1, 0, 0],
+        [L, -L, 1, 0, 0, 0],
+        [0, E, 1, 0, 0, -1],
+        [q * P_n * s, 0, -q, 1, -(1 + q), 0],
+        [-F, 0, -F / L_hat, 0, 1, 0],
+        [0, 1, 0, 0, 0, 0],
+    ], dtype=complex)
+    x = np.linalg.solve(rows, np.array([0, 0, 0, 0, 0, 1], dtype=complex))
+    return x[5] / (s * x[1])
+
+
+_coefficient = st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e)
+
+
+class TestPortModel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=_coefficient, b=_coefficient, k=_coefficient, m_e=_coefficient, b_e=_coefficient,
+        k_e=_coefficient, b_s=_coefficient, k_s=_coefficient,
+        K_f=st.floats(0.0, 10.0), source=st.sampled_from(["internal", "external"]),
+    )
+    def test_proportional_is_bit_identical_to_explicit_form(
+        self, m, b, k, m_e, b_e, k_e, b_s, k_s, K_f, source
+    ):
+        p = PlantParams(m=m, b=b, k=k, m_e=m_e, b_e=b_e, k_e=k_e, b_s=b_s, k_s=k_s)
+        got = endpoint_impedance(p, proportional(K_f, source))
+        want = proportional_only_form(p, K_f, source)
+        assert np.array_equal(got.num.coeffs, want.num.coeffs)
+        assert np.array_equal(got.den.coeffs, want.den.coeffs)
+
+    def test_passive_is_zero_gain_feedback(self, gripper_linear):
+        got = endpoint_impedance(gripper_linear, None)
+        want = proportional_only_form(gripper_linear, 0.0, "internal")
+        assert got.num == want.num and got.den == want.den
+
+    @pytest.mark.parametrize(
+        "scale", [(1.0, 1.0, 1.0, 1.0), (1.5, 0.5, 1.2, 0.9), (0.0, 2.0, 0.7, 1.3)]
+    )
+    @pytest.mark.parametrize("dob", [
+        DOBConfig(lam=20.0, m_n=1.1116e-3),
+        DOBConfig(lam=2 * math.pi * 20.0, m_n=0.8e-3, b_n=0.01, k_n=0.05),
+    ])
+    def test_composite_solves_the_loop_equations(self, gripper_linear, dob, scale):
+        # mismatched feedforward estimates too: the form is exact for any of them
+        p = gripper_linear
+        ff = FeedforwardConfig(b_e=scale[0] * p.b_e, k_e=scale[1] * p.k_e,
+                               b_s=scale[2] * p.b_s, k_s=scale[3] * p.k_s)
+        ctrl = CompositeConfig(dob, ff)
+        Z = endpoint_impedance(p, ctrl)
+        for w in (0.1, 3.0, 100.0):
+            assert Z.eval(w) == pytest.approx(loop_solve_impedance(p, ctrl, w), rel=1e-9)
+
+    def test_matches_measurement(self, gripper_linear):
+        # analog feedback acts inside the RK4 stages, so only the integrator
+        # separates the sweep from the closed form; the sampled controllers
+        # add the first-order sampled-data gap of the 2 kHz loop
+        p = gripper_linear
+        dob_rad = DOBConfig.inertial(p.m, LAM)
+        analog, sampled = (1e-5, 1e-4), (0.02, 0.2)  # dB, degrees
+        cases = [
+            (None, analog),
+            (proportional(1.0), analog),
+            (proportional(1.0, "external"), analog),
+            (PDConfig(K_p=88.4, K_d=1.768), sampled),
+            (dob_rad, sampled),
+            (DOBConfig.inertial(p.m, 2 * math.pi * 20.0), sampled),
+            (CompositeConfig(dob_rad, FeedforwardConfig.from_params(p)), sampled),
+        ]
+        grid = FrequencyGrid(np.array([0.3, 3.0, 10.0]))
+        for ctrl, (tol_db, tol_deg) in cases:
+            fr = measure_impedance(p, ctrl, grid)
+            ratio = fr.H / endpoint_impedance(p, ctrl).eval_grid(fr.omegas)
+            assert np.all(fr.valid), ctrl
+            assert np.max(np.abs(20 * np.log10(np.abs(ratio)))) < tol_db, ctrl
+            assert np.max(np.abs(np.degrees(np.angle(ratio)))) < tol_deg, ctrl
+
+    def test_pd_delay_has_no_closed_form(self, gripper_linear):
+        with pytest.raises(ValueError, match="delay"):
+            endpoint_impedance(gripper_linear, PDConfig(K_p=1.0, K_d=0.1, delay_samples=1))
+
+    def test_rejects_a_non_configuration(self, gripper_linear):
+        with pytest.raises(TypeError):
+            endpoint_impedance(gripper_linear, "dob")
 
 
 class TestLowFreqLimits:
     def test_eq_values(self, gripper_linear):
         p = gripper_linear
-        general = dc_stiffness(endpoint_impedance_ff(p, 1.0, "internal"))
+        general = dc_stiffness(endpoint_impedance(p, proportional(1.0)))
         backdrivable = p.k / 2.0 + p.k_e
         assert general == pytest.approx(0.14529, abs=5e-6)
         assert backdrivable == pytest.approx(0.1458, abs=1e-6)
@@ -227,5 +356,5 @@ class TestLowFreqLimits:
             m=1e-3, b=1e-2, k=0.2, m_e=1e-3, b_e=0.0, k_e=0.0, b_s=0.0, k_s=1e9
         )
         assert internal_dc_stiffness(p, 1.0) == pytest.approx(p.k / 2, rel=1e-6)
-        Z = endpoint_impedance_ff(p, 1.0, "internal")
+        Z = endpoint_impedance(p, proportional(1.0))
         assert dc_stiffness(Z) == pytest.approx(p.k / 2, rel=1e-6)

@@ -374,7 +374,7 @@ class TestSimulate:
 
     def test_linear_frf_consistency(self, gripper_linear):
         # chirp-excited empirical FRF against the closed-form endpoint response
-        from fluidsea.passivity import endpoint_impedance_ff
+        from fluidsea.passivity import endpoint_impedance
         from fluidsea.signals import ChirpSpec
 
         p = gripper_linear
@@ -382,7 +382,7 @@ class TestSimulate:
         tr = simulate(p, None, spec, None, duration=spec.duration, dt=DT)
         grid = FrequencyGrid(np.logspace(np.log10(0.5), 2, 25))
         frf = estimate_frf(tr.F_e, tr.x_e, DT, grid)
-        Z = endpoint_impedance_ff(p, 0.0)
+        Z = endpoint_impedance(p, None)
         for w, h, ok in zip(grid.omegas, frf.H, frf.valid):
             assert ok
             want = Z.eval(w)  # Z = F_e/(s X_e) so X_e/F_e = 1/(s Z)
@@ -401,7 +401,7 @@ class TestSimulate:
 
 class TestBackdriven:
     def test_matches_impedance_phasors(self, gripper_linear):
-        from fluidsea.passivity import endpoint_impedance_ff
+        from fluidsea.passivity import endpoint_impedance
 
         p = gripper_linear
         w = snap_omega(2.0, DT)
@@ -412,7 +412,7 @@ class TestBackdriven:
         sl = slice(-n_per, None)
         e = np.exp(-1j * w * tr.t[sl])
         z_meas = np.dot(tr.F_e[sl], e) / np.dot(tr.v_e[sl], e)
-        z_want = endpoint_impedance_ff(p, 0.0).eval(w)
+        z_want = endpoint_impedance(p, None).eval(w)
         assert abs(z_meas - z_want) / abs(z_want) < 5e-3
 
     def test_prescribed_motion_is_exact(self, gripper):
