@@ -48,6 +48,7 @@ from .plant import (
     PlantState,
     SimTrace,
     SimulationDivergedError,
+    linear_model,
     simulate,
     simulate_backdriven,
 )

@@ -32,6 +32,13 @@ there from constants hoisted out of it, and each trace column is recorded
 into its own flat float buffer, which the returned trace views without a
 copy.
 
+A linear force-source run (F_c = 0, and no controller or a proportional
+one) skips the loop. RK4 on a linear plant is an exact affine one-step map,
+which :func:`linear_model` probes from the loop itself, so the stages are
+still written once; :func:`simulate` applies it to the whole record with a
+prefix scan. Motion-source runs, hysteretic plants and controllers with
+state (dob, pd, composite) always step the loop.
+
 The nonlinear viscous losses of a real hose are intentionally out of model
 scope; the line stays a linear spring-damper.
 """
@@ -44,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controllers import make_controller
+from .controllers import ProportionalFFConfig, make_controller
 from .csvio import write_csv
 from .signals import SineMotionSpec, as_signal
 
@@ -54,6 +61,7 @@ __all__ = [
     "PlantState",
     "SimTrace",
     "SimulationDivergedError",
+    "linear_model",
     "simulate",
     "simulate_backdriven",
 ]
@@ -200,20 +208,137 @@ def simulate(
     behaves as an analog gain. The external force is evaluated at the RK4
     stage times.
 
+    A linear run, with ``params.F_c == 0`` and no controller or a
+    proportional one, carries no state from step to step beyond the plant's.
+    It takes no loop: the RK4 map of :func:`linear_model`, probed from the
+    loop, is applied to the inputs by a prefix scan. ``t``, ``F_e`` and
+    ``F_ref`` are the loop's bit for bit, the other columns agree with it to
+    roundoff (below 1e-13 relative on a 120 s chirp), and a divergence
+    raises at the loop's step index. Every other run steps the loop.
+
     Parameters
     ----------
     controller : controller configuration or None
         A fresh runtime is built from it for this run; None means F_a = 0
         (passive plant).
     f_ext, f_ref : signal spec, callable, float, or None
-        External endpoint force and reference force over [0, duration].
+        External endpoint force and reference force over [0, duration];
+        a callable is a function of t alone.
 
     Raises
     ------
     SimulationDivergedError
         Propagated with the failing step index.
     """
-    return _run(params, controller, f_ext, None, f_ref, duration, dt, initial_state)
+    steps = _steps(duration, dt)
+    ctrl = make_controller(controller, dt)
+    fe_fn, fref_fn = as_signal(f_ext), as_signal(f_ref)
+    s0 = initial_state or PlantState()
+    if params.F_c == 0.0 and _stateless(controller):
+        model = linear_model(params, controller, dt)
+        return _run_linear(model, params, ctrl, fe_fn, fref_fn, steps, dt, s0)
+    return _run(params, ctrl, fe_fn, None, fref_fn, steps, dt, s0)
+
+
+def _stateless(controller) -> bool:
+    return controller is None or isinstance(controller, ProportionalFFConfig)
+
+
+def linear_model(params: PlantParams, controller, dt: float = DEFAULT_DT):
+    """The exact one-step RK4 map of a linear plant under a force source.
+
+    Returns ``(phi, gamma_0, gamma_h, gamma_1)`` over the state
+    (x, v, x_e, v_e, f_d), such that one step of :func:`simulate` is
+
+        s_{k+1} = phi s_k + gamma_0 f(t_k) + gamma_h f(t_k + dt/2) + gamma_1 f(t_k + dt)
+
+    for the external force f. The map is probed from the loop, one step at a
+    time: each column of ``phi`` from a unit initial state, each gamma from a
+    unit force at one stage time. Proportional stage gains fold in through
+    the probe. With ``F_c = 0`` the f_d row is the identity, so an initial
+    f_d acts as a constant force. Raises ``ValueError`` when ``params.F_c``
+    is nonzero, and ``NotImplementedError`` for a controller that keeps
+    state (dob, pd, composite).
+    """
+    if params.F_c != 0.0:
+        raise ValueError("linear_model needs a plant without hysteresis (F_c = 0)")
+    if not _stateless(controller):
+        raise NotImplementedError(
+            f"linear_model covers no controller or a proportional one, not "
+            f"{type(controller).__name__}, which keeps state"
+        )
+    ctrl = make_controller(controller, dt)
+
+    def after_one_step(s0, fe_fn):
+        tr = _run(params, ctrl, fe_fn, None, _zero, 2, dt, s0)
+        return [tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1], tr.F_d[1]]
+
+    phi = np.array([after_one_step(PlantState(*unit), _zero) for unit in np.eye(5).tolist()]).T
+    gammas = [
+        np.array(after_one_step(PlantState(), lambda t, at=at: 1.0 if t == at else 0.0))
+        for at in (0.0, 0.5 * dt, dt)
+    ]
+    return phi, *gammas
+
+
+def _zero(t):
+    return 0.0
+
+
+# Columns per block of the linear run: bounds the scan's temporaries to ~1 MB.
+_BLOCK = 1 << 15
+
+
+def _sampled(fn, times: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, times.tolist()), float, times.size)
+
+
+def _run_linear(model, params, ctrl, fe_fn, fref_fn, steps, dt, s0) -> SimTrace:
+    """A linear force-source run: the map ``model`` over the whole record at once.
+
+    The inputs are evaluated at the loop's stage times, i dt, i dt + dt/2 and
+    i dt + dt. The states come from a doubling prefix scan over
+    s_0 and the input terms u_k: ``S[:, j:] += phi^j S[:, :-j]`` for
+    j = 1, 2, 4, ..., each round taken in blocks from the end so that it
+    reads the previous round's columns. The derived columns follow the
+    loop's operation order, and the first state after a step that is
+    non-finite or beyond ``_STATE_LIMIT`` raises at that step's index.
+    """
+    phi, g0, gh, g1 = model
+    gamma = np.column_stack((g0, gh, g1))
+    t = np.arange(steps) * dt
+    h = 0.5 * dt
+    F_e, F_ref = np.empty(steps), np.empty(steps)
+    S = np.empty((5, steps + 1))
+    S[:, 0] = (s0.x, s0.v, s0.x_e, s0.v_e, s0.f_d)
+    for lo in range(0, steps, _BLOCK):
+        tb = t[lo:lo + _BLOCK]
+        f0 = F_e[lo:lo + _BLOCK] = _sampled(fe_fn, tb)
+        F_ref[lo:lo + _BLOCK] = _sampled(fref_fn, tb)
+        forces = np.stack((f0, _sampled(fe_fn, tb + h), _sampled(fe_fn, tb + dt)))
+        S[:, lo + 1:lo + 1 + tb.size] = gamma @ forces
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        power, shift = phi, 1
+        while shift <= steps:
+            for hi in range(steps + 1, shift, -_BLOCK):
+                lo = max(shift, hi - _BLOCK)
+                S[:, lo:hi] += power @ S[:, lo - shift:hi - shift]
+            power, shift = power @ power, 2 * shift
+        ok = np.isfinite(S[4, 1:])
+        for row in S[:4, 1:]:
+            ok &= np.abs(row) <= _STATE_LIMIT
+    if not ok.all():
+        raise SimulationDivergedError(int(np.argmin(ok)))
+
+    x, v, x_e, v_e, f_d = S[:, :steps]
+    F_p = params.b_s * (v_e - v) + params.k_s * (x_e - x)
+    # a stateless controller's step returns 0.0, the held part of F_a
+    F_a = 0.0 + ctrl.stage_gain_internal * F_p + ctrl.stage_gain_external * F_e
+    return SimTrace(
+        dt=dt, t=t, x=x, v=v, x_e=x_e, v_e=v_e, F_p=F_p, F_e=F_e, F_a=F_a, F_d=f_d,
+        F_cmp=np.full(steps, ctrl.last_f_cmp), F_ref=F_ref,
+    )
 
 
 def simulate_backdriven(
@@ -241,11 +366,22 @@ def simulate_backdriven(
     """
     if not isinstance(motion, SineMotionSpec):
         raise TypeError(f"motion must be a SineMotionSpec, not {type(motion).__name__}")
-    return _run(params, controller, None, motion, f_ref, duration, dt, None)
+    steps = _steps(duration, dt)
+    ctrl = make_controller(controller, dt)
+    return _run(params, ctrl, None, motion, as_signal(f_ref), steps, dt, PlantState())
 
 
-def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) -> SimTrace:
-    """The simulation loop: the endpoint is driven by ``f_ext`` or, if given, by ``motion``.
+def _steps(duration: float, dt: float) -> int:
+    if not (0.0 < dt <= 1e-2):
+        raise ValueError("dt must lie in (0, 1e-2] s")
+    steps = int(round(duration / dt))
+    if steps < 1:
+        raise ValueError("duration shorter than one step")
+    return steps
+
+
+def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
+    """The simulation loop: the endpoint is driven by ``fe_fn`` or, if given, by ``motion``.
 
     This is the one place where the RK4 stages and the Dahl law are written.
     Each step advances (x, v, x_e, v_e, f_d) by dt under the held actuator
@@ -256,19 +392,12 @@ def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) 
     j = 1) and yields the rates ``vj, dvj, vej, dvej, dfdj``: the position
     rates are the stage velocities themselves.
 
-    The endpoint is integrated when ``forced``. Under a motion source its
-    stage states are the sine at t, t + dt/2 and t + dt, and its own rates
-    and update are skipped.
+    ``ctrl`` is a runtime controller and ``fe_fn``, ``fref_fn`` are scalar
+    functions of t; the run starts from the state ``s0``. The endpoint is
+    integrated when ``forced``. Under a motion source its stage states are
+    the sine at t, t + dt/2 and t + dt, and its own rates and update are
+    skipped.
     """
-    if not (0.0 < dt <= 1e-2):
-        raise ValueError("dt must lie in (0, 1e-2] s")
-    steps = int(round(duration / dt))
-    if steps < 1:
-        raise ValueError("duration shorter than one step")
-
-    ctrl = make_controller(controller, dt)
-    fref_fn = as_signal(f_ref)
-
     m, b, k = params.m, params.b, params.k
     m_e, b_e, k_e = params.m_e, params.b_e, params.k_e
     b_s, k_s = params.b_s, params.k_s
@@ -277,7 +406,6 @@ def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) 
     general_n = n != 1.0
     copysign = math.copysign
 
-    s0 = initial_state or PlantState()
     x, v, xe, ve, fd = s0.x, s0.v, s0.x_e, s0.v_e, s0.f_d
 
     # One flat buffer per trace column; SimTrace views them without a copy.
@@ -293,7 +421,6 @@ def _run(params, controller, f_ext, motion, f_ref, duration, dt, initial_state) 
 
     forced = motion is None
     if forced:
-        fe_fn = as_signal(f_ext)
         kf_stage = kf_ext
     else:
         # x_e = a sin(omega t), v_e = (a omega) cos(omega t) and

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fluidsea.controllers import (
@@ -174,6 +174,35 @@ class TestCheckPassive:
             )
             got = check_passive(Y, grid).verdict == "passive"
             assert got == want, (m, b, k, lam, m_n, b_n, k_n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e),
+        b=st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
+        k=st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e),
+        lam=st.floats(0.3, 2.5).map(lambda e: 10.0 ** e),
+        dm=st.floats(-0.5, 2.0),
+        db=st.floats(-0.5, 2.0),
+        dk=st.floats(-0.2, 1.5),
+    )
+    def test_bounds_agree_with_numeric_test_property(self, m, b, k, lam, dm, db, dk):
+        # acceptance 2 as a property over its whole domain, edges included: off a
+        # relative band of 1e-6 around the bounds, the closed form and the
+        # three-criteria test give one verdict
+        nb = nominal_bounds(m, b, k, lam)
+        m_n = nb.m_n_min + dm * m
+        b_n = nb.b_n_min + db * max(k / lam, 1e-6)
+        k_n = dk * max(nb.k_n_max(b_n), k)
+        margins = (
+            (m_n - nb.m_n_min) / max(m, abs(m_n)),
+            k_n / max(k, 1.0),
+            (nb.k_n_max(b_n) - k_n) / max(k, 1.0),
+        )
+        assume(min(abs(x) for x in margins) >= 1e-6)
+        plant = PlantParams(m=m, b=b, k=k, m_e=1.0, b_e=0.0, k_e=0.0, b_s=0.0, k_s=1.0)
+        Y = dob_admittance(plant, DOBConfig(lam=lam, m_n=m_n, b_n=b_n, k_n=k_n))
+        got = check_passive(Y).verdict == "passive"
+        assert got == nb.contains(m_n, b_n, k_n)
 
 
 class TestEndpointImpedance:

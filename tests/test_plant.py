@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fluidsea.impedance
+import fluidsea.plant
 from fluidsea.controllers import (
     CompositeConfig,
     DOBConfig,
@@ -14,18 +16,19 @@ from fluidsea.controllers import (
     ProportionalFFConfig,
     make_controller,
 )
-from fluidsea.impedance import snap_omega
+from fluidsea.impedance import measure_impedance, snap_omega
 from fluidsea.lti import FrequencyGrid
 from fluidsea.plant import (
     TRACE_COLUMNS,
     PlantParams,
     PlantState,
     SimulationDivergedError,
+    linear_model,
     simulate,
     simulate_backdriven,
 )
 from fluidsea.signals import as_signal
-from fluidsea.signals import SineMotionSpec, SineSpec
+from fluidsea.signals import ChirpSpec, ConstantSpec, SineMotionSpec, SineSpec
 from fluidsea.sysid import estimate_frf
 
 DT = 1.0 / 2000.0
@@ -137,6 +140,15 @@ class TestStep:
         scale = max(abs(coarse.x_e[-1]), abs(fine.x_e[-2]))
         assert abs(fine.x_e[-2] - coarse.x_e[-1]) / scale < 1e-6
         assert abs(fine.v_e[-2] - coarse.v_e[-1]) / max(abs(coarse.v_e[-1]), 1e-12) < 1e-6
+
+
+def _loop(params, controller=None, f_ext=None, f_ref=None, duration=1.0, dt=DT,
+          initial_state=None):
+    """``simulate`` through the per-step loop, which linear runs otherwise leave for the map."""
+    return fluidsea.plant._run(
+        params, make_controller(controller, dt), as_signal(f_ext), None, as_signal(f_ref),
+        int(round(duration / dt)), dt, initial_state or PlantState(),
+    )
 
 
 def _reference_rk4(params):
@@ -283,7 +295,7 @@ def test_simulate_equals_nested_reference(plant, kind):
     f_ext = SineSpec(0.05, 3.0)
     f_ref = SineSpec(0.01, 2.0)
     s0 = PlantState(x=0.01, v=-0.2, x_e=0.02, v_e=0.3, f_d=0.005)
-    got = simulate(p, ctrl, f_ext, f_ref, duration=1.0, dt=DT, initial_state=s0)
+    got = _loop(p, ctrl, f_ext, f_ref, duration=1.0, dt=DT, initial_state=s0)
     want = _reference_simulate(p, ctrl, f_ext, f_ref, duration=1.0, initial_state=s0)
     for name in TRACE_COLUMNS:
         assert getattr(got, name).tobytes() == want[name].tobytes(), name
@@ -308,7 +320,7 @@ def test_stepper_equals_nested_reference(n_dahl, hysteresis):
             ProportionalFFConfig(gain, "external"),
         )[i % 3]
         f_ext = lambda t: fe0 + t * (1e3 * c1 + t * 1e6 * c2)  # noqa: E731
-        got = simulate(p, ctrl, f_ext, None, duration=2 * DT, dt=DT, initial_state=s0)
+        got = _loop(p, ctrl, f_ext, None, duration=2 * DT, dt=DT, initial_state=s0)
         want = _reference_simulate(p, ctrl, f_ext, None, duration=2 * DT, initial_state=s0)
         for name in TRACE_COLUMNS:
             assert getattr(got, name).tobytes() == want[name].tobytes(), (i, name)
@@ -325,6 +337,121 @@ def test_backdriven_equals_nested_reference(plant, kind):
     want = _reference_backdriven(p, ctrl, motion, duration=1.0, dt=DT, f_ref=f_ref)
     for name in TRACE_COLUMNS:
         assert getattr(got, name).tobytes() == want[name].tobytes(), name
+
+
+_STATELESS = {
+    "passive": None,
+    "internal": ProportionalFFConfig(0.5, "internal"),
+    "external": ProportionalFFConfig(0.5, "external"),
+}
+_FORCES = {
+    "sine": SineSpec(0.05, 3.0),
+    "chirp": ChirpSpec(0.3, 0.05, 400.0, 2.0),
+    "constant": ConstantSpec(0.02),
+    "callable": lambda t: 0.03 * math.cos(40.0 * t) - 0.01,
+    "none": None,
+}
+
+
+def _assert_columns_close(got, want, rel):
+    """Each column of ``got`` within ``rel`` of the largest magnitude in ``want``'s."""
+    assert len(got) == len(want)
+    for name in TRACE_COLUMNS:
+        a, b = got.column(name), want.column(name)
+        assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b)), name
+
+
+@pytest.mark.parametrize("force", list(_FORCES))
+@pytest.mark.parametrize("kind", list(_STATELESS))
+def test_linear_run_equals_loop(kind, force):
+    args = (_PLANTS["linear"], _STATELESS[kind], _FORCES[force], SineSpec(0.01, 2.0))
+    s0 = PlantState(x=0.01, v=-0.2, x_e=0.02, v_e=0.3, f_d=0.005)
+    got = simulate(*args, duration=2.0, dt=DT, initial_state=s0)
+    want = _loop(*args, duration=2.0, dt=DT, initial_state=s0)
+    _assert_columns_close(got, want, 1e-12)
+    for name in ("t", "F_e", "F_ref"):
+        assert got.column(name).tobytes() == want.column(name).tobytes(), name
+
+
+def test_linear_runs_skip_the_loop(monkeypatch):
+    steps = []
+    run = fluidsea.plant._run
+
+    def counting_run(*args):
+        steps.append(args[5])
+        return run(*args)
+
+    monkeypatch.setattr(fluidsea.plant, "_run", counting_run)
+    simulate(_PLANTS["linear"], _STATELESS["internal"], SineSpec(0.05, 3.0), duration=1.0)
+    assert steps == [2] * 8  # the probes of linear_model, one step each
+    steps.clear()
+    simulate(_PLANTS["n_dahl=1"], _STATELESS["internal"], SineSpec(0.05, 3.0), duration=1.0)
+    assert steps == [2000]
+
+
+def test_linear_model_scope():
+    phi, *gammas = linear_model(_PLANTS["linear"], None, DT)
+    assert phi[4].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+    assert [g[4] for g in gammas] == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="F_c"):
+        linear_model(_PLANTS["n_dahl=1"], None, DT)
+    for kind in ("dob", "pd", "composite"):
+        with pytest.raises(NotImplementedError, match="keeps state"):
+            linear_model(_PLANTS["linear"], _backdrive_controllers(1e-3)[kind], DT)
+
+
+@pytest.mark.parametrize("K_f", [-3.0, -10.0])
+def test_linear_divergence_equals_loop(K_f, monkeypatch):
+    p, ctrl = _PLANTS["linear"], ProportionalFFConfig(K_f, "internal")
+    steps = []
+    for run in (simulate, _loop):
+        with pytest.raises(SimulationDivergedError) as err:
+            run(p, ctrl, SineSpec(0.1, 3.0), None, duration=5.0, dt=DT)
+        steps.append(err.value.step_index)
+    assert steps[0] == steps[1]
+
+    def warnings_of_sweep():
+        with pytest.warns(UserWarning) as record:
+            measure_impedance(p, ctrl, FrequencyGrid(np.array([3.0])), dt=DT)
+        return [str(w.message) for w in record]
+
+    got = warnings_of_sweep()
+    monkeypatch.setattr(fluidsea.impedance, "simulate", _loop)
+    assert got == warnings_of_sweep()
+    assert "diverged at step" in got[0]
+
+
+_scale = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scale=st.tuples(*[_scale] * 8),
+    K_f=st.floats(-0.9, 10.0),
+    source=st.sampled_from(["internal", "external"]),
+    omega=st.floats(0.5, 500.0),
+)
+def test_linear_run_property(scale, K_f, source, omega):
+    # random positive linear plants around the gripper, under proportional feedback
+    names = ("m", "b", "k", "m_e", "b_e", "k_e", "b_s", "k_s")
+    g = PlantParams.gripper()
+    p = PlantParams(**{n: getattr(g, n) * c for n, c in zip(names, scale)})
+    ctrl = ProportionalFFConfig(K_f, source)
+    fe = as_signal(SineSpec(0.05, omega))
+    run = dict(duration=400 * DT, dt=DT)
+    try:
+        want = _loop(p, ctrl, fe, None, **run)
+    except SimulationDivergedError as exc:
+        with pytest.raises(SimulationDivergedError) as err:
+            simulate(p, ctrl, fe, None, **run)
+        assert err.value.step_index == exc.step_index
+        return
+    got = simulate(p, ctrl, fe, None, **run)
+    _assert_columns_close(got, want, 1e-10)
+    tripled = simulate(p, ctrl, lambda t: 3.0 * fe(t), None, **run)
+    for name in ("x", "v", "x_e", "v_e"):
+        a, b = tripled.column(name), got.column(name)
+        assert np.max(np.abs(a - 3.0 * b)) <= 1e-12 * np.max(np.abs(a)), name
 
 
 class TestSimulate:
