@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .controllers import PDConfig
 from .csvio import write_csv
@@ -297,7 +296,8 @@ def fit_dahl(loop: WorkLoop) -> DahlFit:
 
     Both branches are fitted jointly for (F_c, sigma); each branch anchors
     at its own first sample (x0, F0) taken from the data. Quasi-static loops
-    only: the model is rate independent.
+    only: the model is rate independent. ``scipy.optimize`` is imported here,
+    on the first fit, so that no other run of the package loads scipy.
 
     Raises
     ------
@@ -305,6 +305,8 @@ def fit_dahl(loop: WorkLoop) -> DahlFit:
         If the loop is non-hysteretic, i.e. its area is below
         ``_AREA_FLOOR_REL`` = 1e-3 times the bounding-box area.
     """
+    from scipy.optimize import least_squares
+
     xr = float(np.max(loop.x_e) - np.min(loop.x_e))
     fr = float(np.max(loop.F) - np.min(loop.F))
     box = xr * fr

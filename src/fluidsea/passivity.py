@@ -19,10 +19,10 @@ coefficients:
     m_n >= m - b/lambda      and      0 <= k_n <= k + lambda b_n.
 
 This module builds Y(s), evaluates the bounds, runs the three-criteria
-numeric test (grid sweep plus an exact even-polynomial certificate for
-criterion (iii)), and holds the package's one linear port model,
-``endpoint_impedance``: the endpoint impedance under any controller, whose
-low edge bounds the Z-width (Colgate & Brown, ICRA 1994).
+numeric test (criterion (iii) from the sign of an exact even-polynomial
+certificate, with a grid sweep for the report), and holds the package's one
+linear port model, ``endpoint_impedance``: the endpoint impedance under any
+controller, whose low edge bounds the Z-width (Colgate & Brown, ICRA 1994).
 """
 
 from __future__ import annotations
@@ -172,6 +172,11 @@ class PassivityReport:
         write_csv(path, "omega,re_Y", [omegas, re_y])
 
 
+# Relative rounding allowance of a certificate value against the sum of the
+# magnitudes of its terms, c_i u^i.
+_CERT_RTOL = 1e-9
+
+
 def _default_grid() -> FrequencyGrid:
     return FrequencyGrid.log_spaced(1e-2, 1e4, 400)
 
@@ -180,10 +185,12 @@ def check_passive(tf: RationalTF, grid: FrequencyGrid | None = None) -> Passivit
     """Apply the three LTI passivity criteria to a transfer function.
 
     Criterion (i) uses the pole set of the reduced transfer function,
-    (ii) the residues at simple imaginary-axis poles, and (iii) a grid
-    minimum of Re tf(j omega) backed by the exact even-polynomial
-    certificate, so narrow violations between grid points are still caught.
-    Grid points that coincide with poles are skipped and reported.
+    (ii) the residues at simple imaginary-axis poles, and (iii) the sign of
+    the exact even-polynomial certificate on omega^2 >= 0, so neither a
+    narrow dip between grid points nor a violation that Re tf shrinks at
+    high frequency escapes. The grid gives the reported sweep and, with the
+    certificate's roots, the reported minimum of Re tf(j omega); grid points
+    that coincide with poles are skipped and reported.
     """
     if grid is None:
         grid = _default_grid()
@@ -207,20 +214,26 @@ def check_passive(tf: RationalTF, grid: FrequencyGrid | None = None) -> Passivit
     if issues:
         violations.append("(ii) imaginary poles not simple/positive-residue")
 
-    # Criterion (iii): sweep plus certificate roots as extra candidates.
+    # Criterion (iii): the certificate's sign on u = w^2 >= 0, read at 0,
+    # between its positive real roots and beyond the largest. A value is
+    # negative only past _CERT_RTOL times the sum of its terms' magnitudes,
+    # so a violation counts however small Re Y is there (it falls as 1/w^2).
+    # The reported minimum is over the sweep, the roots and the midpoints
+    # around them.
     cert = real_part_certificate(red)
-    candidates = list(grid.omegas)
-    cscale = np.max(np.abs(cert.coeffs))
-    if cert.degree >= 1 and cscale > 0:
-        for r in cert.roots():
-            if abs(r.imag) < 1e-7 * max(1.0, abs(r)) and r.real > 0:
-                candidates.append(float(np.sqrt(r.real)))
-        # midpoints around roots catch sign dips between them
-        extra = []
+    roots, candidates = [], list(grid.omegas)
+    if cert.degree >= 1:
+        roots = sorted(
+            r.real for r in cert.roots() if abs(r.imag) < 1e-7 * max(1.0, abs(r)) and r.real > 0
+        )
+        candidates += [float(np.sqrt(u)) for u in roots]
         pos = sorted(c for c in candidates if c > 0)
-        for w1, w2 in zip(pos[:-1], pos[1:]):
-            extra.append(np.sqrt(w1 * w2))
-        candidates.extend(extra)
+        candidates += [np.sqrt(w1 * w2) for w1, w2 in zip(pos[:-1], pos[1:])]
+    probes = [0.0, *((u1 + u2) / 2 for u1, u2 in zip([0.0, *roots], roots))]
+    probes.append(2.0 * roots[-1] if roots else 1.0)
+    magnitude = Polynomial(np.abs(cert.coeffs))
+    if any(cert(u) < -_CERT_RTOL * magnitude(u) for u in probes):
+        violations.append("(iii) Re Y(jw) < 0")
 
     skipped = []
     sweep_re = np.full(len(grid), np.nan)
@@ -235,13 +248,6 @@ def check_passive(tf: RationalTF, grid: FrequencyGrid | None = None) -> Passivit
             sweep_re[idx] = re_y
         if re_y < min_re:
             min_re, min_w = re_y, w
-
-    # Tolerance: admit tiny negative values from rounding, scaled by the
-    # largest response magnitude seen.
-    scale = np.nanmax(np.abs(sweep_re)) if np.any(np.isfinite(sweep_re)) else 1.0
-    tol = 1e-9 * max(1.0, scale)
-    if min_re < -tol:
-        violations.append("(iii) Re Y(jw) < 0")
 
     verdict = "passive" if not violations else "non-passive"
     if skipped:

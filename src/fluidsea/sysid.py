@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .csvio import write_csv
 from .lti import FrequencyGrid, Polynomial, RationalTF
@@ -101,6 +100,25 @@ class FrequencyResponse:
         return cls(grid, H, np.zeros(len(grid)))
 
 
+def _next_fast_len(target: int) -> int:
+    """Least 5-smooth integer 2^a 3^b 5^c >= target >= 1: a fast real FFT length.
+
+    The same length as ``scipy.fft.next_fast_len(target, real=True)``.
+    """
+    best = 1 << (target - 1).bit_length()  # the least power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 * 2^a >= target
+            candidate = p35 << (-(-target // p35) - 1).bit_length()
+            if candidate < best:
+                best = candidate
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def estimate_frf(
     u: np.ndarray,
     y: np.ndarray,
@@ -122,8 +140,9 @@ def estimate_frf(
     invalid.
 
     The correlations R_ab(tau) = (1/N) sum a[n+tau] b[n] come from one rfft
-    of each signal, zero-padded to the smallest fast length of at least
-    N + max_lag + 1 (no circular wrap reaches a kept lag), and three irfft.
+    of each signal, zero-padded to the least 2-3-5-smooth length of at least
+    N + max_lag + 1 (no circular wrap reaches a kept lag; ``_next_fast_len``,
+    scipy's choice without importing scipy), and three irfft.
     The windowed correlations are transformed as a factored DTFT: with
     tau = -max_lag + q B + r, 0 <= r < B ~ sqrt(2 max_lag + 1),
 
@@ -145,7 +164,7 @@ def estimate_frf(
     if n < 2 * max_lag:
         raise ValueError("record too short for the requested max lag")
 
-    nfft = next_fast_len(n + max_lag + 1, real=True)
+    nfft = _next_fast_len(n + max_lag + 1)
     fu = np.fft.rfft(u, nfft)
     fy = np.fft.rfft(y, nfft)
     size = 2 * max_lag + 1

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fluidsea
 from fluidsea.cli import main
 from fluidsea.controllers import CompositeConfig, DOBConfig, ProportionalFFConfig
 from fluidsea.experiments import (
@@ -536,3 +540,38 @@ grid_points = 2
         data = np.loadtxt(out / "zwidth.csv", delimiter=",", skiprows=1)
         assert data.shape == (2, 4)
         assert np.all(data[:, 3] > 20.0)  # healthy width on both points
+
+
+# Run in a fresh interpreter: the CLI's simulate and passivity commands load
+# no scipy module, and the one fit that needs scipy imports it on first use.
+_NO_SCIPY_SCRIPT = """
+import sys
+
+import fluidsea, fluidsea.cli
+
+d = sys.argv[1]
+assert fluidsea.cli.main(["simulate", d + "/simulate.ini", "--out", d + "/sim"]) == 0
+assert fluidsea.cli.main(["passivity", d + "/passivity.ini", "--out", d + "/pas"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+
+from fluidsea.impedance import fit_dahl, quasi_static_backdrive, work_loop
+from fluidsea.plant import PlantParams
+
+fit = fit_dahl(work_loop(quasi_static_backdrive(PlantParams.gripper(), None)))
+assert fit.F_c > 0 and fit.sigma > 0, fit
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_cli_runs_load_no_scipy(tmp_path):
+    (tmp_path / "simulate.ini").write_text("[run]\nduration = 0.05\n")
+    (tmp_path / "passivity.ini").write_text(PASSIVITY_CFG)
+    src = os.path.dirname(os.path.dirname(fluidsea.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

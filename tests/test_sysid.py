@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluidsea.lti import FrequencyGrid, Polynomial, RationalTF
 from fluidsea.plant import simulate
@@ -10,6 +12,7 @@ from fluidsea.signals import ChirpSpec, NyquistViolationError, as_signal
 from fluidsea.sysid import (
     FitError,
     FrequencyResponse,
+    _next_fast_len,
     estimate_frf,
     extract_params,
     fit_tf,
@@ -102,6 +105,21 @@ def _longdouble_frf(u, y, dt, omegas, max_lag):
         e = np.exp(-1j * w * tgrid)
         H.append(np.sum(e * wyu) / np.sum(e * wu).real)
     return np.array(H)
+
+
+class TestNextFastLen:
+    # the FFT length is scipy's, so the spectra do not depend on which picks it
+    def test_equals_scipy(self):
+        next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+        for n in [*range(1, 2**17 + 1), 270_001]:
+            assert _next_fast_len(n) == next_fast_len(n, real=True), n
+        assert _next_fast_len(270_001) == 273_375
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 10**8))
+    def test_equals_scipy_property(self, n):
+        next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+        assert _next_fast_len(n) == next_fast_len(n, real=True)
 
 
 class TestEstimateFrf:
