@@ -109,6 +109,9 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+_HASH_BLOCK = 1 << 20  # manifest hashing reads each artifact 1 MiB at a time
+
+
 class ArtifactWriter:
     """Atomic artifact writes plus a SHA-256 manifest."""
 
@@ -136,7 +139,8 @@ class ArtifactWriter:
 
     def write_text(self, name: str, text: str) -> str:
         def write(path):
-            with open(path, "w") as fh:
+            # newline="" keeps "\n" on every platform, so the hashes do too
+            with open(path, "w", newline="") as fh:
                 fh.write(text)
 
         return self.write(name, write)
@@ -144,9 +148,11 @@ class ArtifactWriter:
     def finish(self) -> str:
         lines = []
         for name in self.files:
+            digest = hashlib.sha256()
             with open(self.path(name), "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            lines.append(f"{digest}  {name}")
+                while block := fh.read(_HASH_BLOCK):
+                    digest.update(block)
+            lines.append(f"{digest.hexdigest()}  {name}")
         return self.write_text("manifest.txt", "\n".join(lines) + "\n")
 
 

@@ -209,33 +209,36 @@ class RationalTF:
     def is_proper(self) -> bool:
         return self.num.degree <= self.den.degree
 
-    def eval(self, omega: float) -> complex:
-        """Frequency response ``num(j omega) / den(j omega)``.
+    def response(self, omegas) -> tuple[np.ndarray, np.ndarray]:
+        """Frequency response ``num(j omega) / den(j omega)`` over ``omegas``.
 
-        Parameters
-        ----------
-        omega : float
-            Angular frequency in rad/s, strictly positive.
-
-        Raises
-        ------
-        EvaluationError
-            If ``den(j omega)`` vanishes to within backward error, i.e. a
-            pole sits on (or numerically on) the requested frequency.
+        Returns the complex values and the mask of the points where
+        ``den(j omega)`` vanishes to within backward error,
+        ``|den(j omega)| <= 1e-13 sum_k |den_k| omega^k``: a pole sits on (or
+        numerically on) that frequency, and the value there is NaN. Each
+        polynomial is evaluated once over the whole grid. Raises
+        ``ValueError`` unless every omega is strictly positive.
         """
-        if omega <= 0:
+        w = np.asarray(omegas, dtype=float)
+        if not np.all(w > 0):
             raise ValueError("omega must be > 0")
-        s = 1j * omega
+        s = 1j * w
         d = self.den(s)
-        absden = np.abs(self.den.coeffs)
-        powers = omega ** np.arange(self.den.degree, -1, -1, dtype=float)
-        dscale = float(np.dot(absden, powers))
-        if abs(d) <= 1e-13 * dscale:
-            raise EvaluationError(f"pole on evaluation grid at omega={omega!r}")
-        return complex(self.num(s) / d)
+        on_pole = np.abs(d) <= 1e-13 * Polynomial(np.abs(self.den.coeffs))(w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.num(s) / np.where(on_pole, np.nan, d), on_pole
 
     def eval_grid(self, omegas) -> np.ndarray:
-        return np.array([self.eval(w) for w in np.asarray(omegas, dtype=float)])
+        """:meth:`response` over ``omegas``; ``EvaluationError`` names the first pole on it."""
+        h, on_pole = self.response(omegas)
+        if on_pole.any():
+            w = np.asarray(omegas, dtype=float).ravel()[np.argmax(on_pole)]
+            raise EvaluationError(f"pole on evaluation grid at omega={float(w)!r}")
+        return h
+
+    def eval(self, omega: float) -> complex:
+        """The response at one angular frequency [rad/s]: :meth:`eval_grid`'s one-point view."""
+        return complex(self.eval_grid([omega])[0])
 
     def poles(self) -> np.ndarray:
         """Roots of the stored denominator (multiplicity included)."""

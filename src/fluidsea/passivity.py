@@ -35,7 +35,6 @@ from .controllers import CompositeConfig, DOBConfig, PDConfig, ProportionalFFCon
 from .csvio import write_csv
 from .lti import (
     AXIS_RTOL,
-    EvaluationError,
     FrequencyGrid,
     Polynomial,
     RationalTF,
@@ -235,19 +234,13 @@ def check_passive(tf: RationalTF, grid: FrequencyGrid | None = None) -> Passivit
     if any(cert(u) < -_CERT_RTOL * magnitude(u) for u in probes):
         violations.append("(iii) Re Y(jw) < 0")
 
-    skipped = []
-    sweep_re = np.full(len(grid), np.nan)
-    min_re, min_w = np.inf, np.nan
-    for idx, w in enumerate(candidates):
-        try:
-            re_y = red.eval(w).real
-        except EvaluationError:
-            skipped.append(w)
-            continue
-        if idx < len(grid):
-            sweep_re[idx] = re_y
-        if re_y < min_re:
-            min_re, min_w = re_y, w
+    values, on_pole = red.response(candidates)
+    re_y = np.where(on_pole, np.inf, values.real)
+    skipped = [candidates[i] for i in np.flatnonzero(on_pole)]
+    sweep_re = np.where(on_pole[:len(grid)], np.nan, values.real[:len(grid)])
+    lowest = int(np.argmin(re_y))  # the first of equal minima
+    min_re = re_y[lowest]
+    min_w = candidates[lowest] if min_re < np.inf else np.nan
 
     verdict = "passive" if not violations else "non-passive"
     if skipped:

@@ -26,11 +26,11 @@ evaluated at the RK4 stage times. Under a motion source
 (:func:`simulate_backdriven`) the endpoint follows a
 :class:`~fluidsea.signals.SineMotionSpec`, prescribed at the stage times,
 and F_e is the measured output. The loop runs in plain Python scalars and
-makes no call per step beyond the controller and the signals: the four RK4
-stages are straight-line code in the loop body, the sine motion is evaluated
-there from constants hoisted out of it, and each trace column is recorded
-into its own flat float buffer, which the returned trace views without a
-copy.
+makes no call per step beyond the controller: the external and reference
+forces are sampled a block of steps at a time, the four RK4 stages are
+straight-line code in the loop body, the sine motion is evaluated there
+from constants hoisted out of it, and each trace column is recorded into
+its own flat float buffer, which the returned trace views without a copy.
 
 A linear force-source run (F_c = 0, and no controller or a proportional
 one) skips the loop. RK4 on a linear plant is an exact affine one-step map,
@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -205,8 +206,10 @@ def simulate(
     (F_p, v, x, F_ref) and produces F_a, which is held for the step
     (zero-order hold). Memoryless proportional force feedback, on F_p or
     F_e, is instead folded into the integrator stages, so that feedback
-    behaves as an analog gain. The external force is evaluated at the RK4
-    stage times.
+    behaves as an analog gain. The external and reference forces are
+    sampled a block of steps per call, on the loop as on the map (see
+    :func:`~fluidsea.signals.as_signal`), the external one at the RK4 stage
+    times; a callable is still called once per sample, with a float.
 
     A linear run, with ``params.F_c == 0`` and no controller or a
     proportional one, carries no state from step to step beyond the plant's.
@@ -268,29 +271,24 @@ def linear_model(params: PlantParams, controller, dt: float = DEFAULT_DT):
             f"{type(controller).__name__}, which keeps state"
         )
     ctrl = make_controller(controller, dt)
+    zero = as_signal(None)
 
     def after_one_step(s0, fe_fn):
-        tr = _run(params, ctrl, fe_fn, None, _zero, 2, dt, s0)
+        tr = _run(params, ctrl, fe_fn, None, zero, 2, dt, s0)
         return [tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1], tr.F_d[1]]
 
-    phi = np.array([after_one_step(PlantState(*unit), _zero) for unit in np.eye(5).tolist()]).T
+    phi = np.array([after_one_step(PlantState(*unit), zero) for unit in np.eye(5).tolist()]).T
     gammas = [
-        np.array(after_one_step(PlantState(), lambda t, at=at: 1.0 if t == at else 0.0))
+        np.array(after_one_step(PlantState(), lambda t, at=at: np.where(t == at, 1.0, 0.0)))
         for at in (0.0, 0.5 * dt, dt)
     ]
     return phi, *gammas
 
 
-def _zero(t):
-    return 0.0
-
-
 # Columns per block of the linear run: bounds the scan's temporaries to ~1 MB.
 _BLOCK = 1 << 15
-
-
-def _sampled(fn, times: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, times.tolist()), float, times.size)
+# Steps per block of sampled forces in the loop: bounds the sample lists to ~0.3 MB.
+_SAMPLE_BLOCK = 2048
 
 
 def _run_linear(model, params, ctrl, fe_fn, fref_fn, steps, dt, s0) -> SimTrace:
@@ -313,9 +311,9 @@ def _run_linear(model, params, ctrl, fe_fn, fref_fn, steps, dt, s0) -> SimTrace:
     S[:, 0] = (s0.x, s0.v, s0.x_e, s0.v_e, s0.f_d)
     for lo in range(0, steps, _BLOCK):
         tb = t[lo:lo + _BLOCK]
-        f0 = F_e[lo:lo + _BLOCK] = _sampled(fe_fn, tb)
-        F_ref[lo:lo + _BLOCK] = _sampled(fref_fn, tb)
-        forces = np.stack((f0, _sampled(fe_fn, tb + h), _sampled(fe_fn, tb + dt)))
+        f0 = F_e[lo:lo + _BLOCK] = fe_fn(tb)
+        F_ref[lo:lo + _BLOCK] = fref_fn(tb)
+        forces = np.stack((f0, fe_fn(tb + h), fe_fn(tb + dt)))
         S[:, lo + 1:lo + 1 + tb.size] = gamma @ forces
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -380,6 +378,20 @@ def _steps(duration: float, dt: float) -> int:
     return steps
 
 
+def _samples(fn, steps: int, dt: float, shift: float):
+    """The sampler ``fn`` at i dt + shift for i in range(steps), one block of steps per call.
+
+    For t = i dt >= 0, t + 0.0 is t itself, so a zero shift gives the samples at i dt.
+    """
+
+    def blocks():
+        for lo in range(0, steps, _SAMPLE_BLOCK):
+            t = np.arange(lo, min(steps, lo + _SAMPLE_BLOCK)) * dt
+            yield fn(t + shift).tolist()
+
+    return chain.from_iterable(blocks())
+
+
 def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
     """The simulation loop: the endpoint is driven by ``fe_fn`` or, if given, by ``motion``.
 
@@ -392,8 +404,11 @@ def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
     j = 1) and yields the rates ``vj, dvj, vej, dvej, dfdj``: the position
     rates are the stage velocities themselves.
 
-    ``ctrl`` is a runtime controller and ``fe_fn``, ``fref_fn`` are scalar
-    functions of t; the run starts from the state ``s0``. The endpoint is
+    ``ctrl`` is a runtime controller and ``fe_fn``, ``fref_fn`` are
+    samplers as :func:`~fluidsea.signals.as_signal` returns them, called
+    on a block of ``_SAMPLE_BLOCK`` steps' times at once: ``i dt`` for the
+    force and the reference, and ``i dt + dt/2`` and ``i dt + dt`` for the
+    later stages. The run starts from the state ``s0``. The endpoint is
     integrated when ``forced``. Under a motion source its stage states are
     the sine at t, t + dt/2 and t + dt, and its own rates and update are
     skipped.
@@ -422,6 +437,7 @@ def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
     forced = motion is None
     if forced:
         kf_stage = kf_ext
+        fe0s, fehs, fe1s = (_samples(fe_fn, steps, dt, shift) for shift in (0.0, h, dt))
     else:
         # x_e = a sin(omega t), v_e = (a omega) cos(omega t) and
         # a_e = (-a omega^2) sin(omega t), as SineMotionSpec evaluates them.
@@ -431,24 +447,21 @@ def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
         # A motion source holds external feedback in F_a instead; the stage
         # term becomes -0.0 * 0.0 = -0.0, which adds nothing to any float.
         kf_stage = -0.0
-        fe0 = feh = fe1 = 0.0
+        fe0s = fehs = fe1s = repeat(0.0)
 
-    for i in range(steps):
+    frefs = _samples(fref_fn, steps, dt, 0.0)
+    for i, fref, fe0, feh, fe1 in zip(range(steps), frefs, fe0s, fehs, fe1s):
         t = i * dt
         if forced:
             fp = b_s * (ve - v) + k_s * (xe - x)
-            fe = fe0 = fe_fn(t)
-            fref = fref_fn(t)
+            fe = fe0
             fa = ctrl_step(fp, v, x, fref)
             fa_out = fa + kf_int * fp + kf_ext * fe
-            feh = fe_fn(t + h)
-            fe1 = fe_fn(t + dt)
         else:
             sin_t = sin(omega * t)
             xe, ve = a * sin_t, a_w * cos(omega * t)
             fp = b_s * (ve - v) + k_s * (xe - x)
             fe = m_e * (a_ww * sin_t) + b_e * ve + k_e * xe + fd + fp
-            fref = fref_fn(t)
             fa = ctrl_step(fp, v, x, fref) + kf_ext * fe
             fa_out = fa + kf_int * fp
             wt = omega * (t + h)

@@ -1,10 +1,14 @@
 """Excitation signal specifications for simulation experiments.
 
 Each spec is a small frozen dataclass of parameters. The force waveforms
-are defined once, in :func:`as_signal`, as scalar functions of continuous
-time ``t``; the simulator evaluates them at the integrator stage times. The
-one prescribed endpoint motion, :class:`SineMotionSpec`, is written in its
-methods and, in the same operation order, inline in the simulation loop.
+are defined once, in :func:`as_signal`, as functions of time that take
+either one float ``t`` or a 1-D array of times. On an array, numpy does the
+``+ - * /``, which are correctly rounded as in Python, and ``math.sin`` and
+``math.exp`` are mapped over the block (a vectorized libm could move a last
+digit), so each sample is bit for bit the value at that one float. The
+simulator samples a block of stage times per call. The one prescribed
+endpoint motion, :class:`SineMotionSpec`, is written in its methods and, in
+the same operation order, inline in the simulation loop.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["ChirpSpec", "ConstantSpec", "NyquistViolationError", "SineSpec", "as_signal"]
 
@@ -112,29 +118,46 @@ class SineMotionSpec:
         return -self.amplitude * self.omega**2 * math.sin(self.omega * t)
 
 
-def as_signal(spec):
-    """Coerce a spec, callable, number, or None into a scalar function of t.
+def _mapped(fn):
+    """``fn`` of one float, applied to a float or to each element of a 1-D array."""
 
-    This is where each spec's waveform is defined: the chirp's phase is
-    2 pi f0 tau (exp(t/tau) - 1) with tau = duration / ln(f1/f0). The
-    closures use ``math`` functions only; the simulator evaluates the
-    excitation three times per integration step, so this path is
-    deliberately allocation-free.
+    def apply(t):
+        if isinstance(t, np.ndarray):
+            return np.fromiter(map(fn, t.tolist()), float, t.size)
+        return fn(t)
+
+    return apply
+
+
+_sin, _exp = _mapped(math.sin), _mapped(math.exp)
+
+
+def _constant(value):
+    return lambda t: np.full(t.size, value, dtype=float) if isinstance(t, np.ndarray) else value
+
+
+def as_signal(spec):
+    """Coerce a spec, callable, number, or None into a function of time.
+
+    The function takes a float ``t`` and returns the force there, or a 1-D
+    float array of times and returns the array of forces, each equal to the
+    float's. This is where each spec's waveform is defined: the chirp's phase
+    is 2 pi f0 tau (exp(t/tau) - 1) with tau = duration / ln(f1/f0). A
+    callable spec is a function of one float; on an array it is called once
+    per element.
     """
     if spec is None:
-        return lambda t: 0.0
+        return _constant(0.0)
     if isinstance(spec, ChirpSpec):
         amp = spec.amplitude
         tau = spec.duration / math.log(spec.f1 / spec.f0)
         k = 2.0 * math.pi * spec.f0 * tau
-        return lambda t: amp * math.sin(k * (math.exp(t / tau) - 1.0))
+        return lambda t: amp * _sin(k * (_exp(t / tau) - 1.0))
     if isinstance(spec, SineSpec):
         amp, w = spec.amplitude, spec.omega
-        return lambda t: amp * math.sin(w * t)
+        return lambda t: amp * _sin(w * t)
     if isinstance(spec, ConstantSpec):
-        value = spec.value
-        return lambda t: value
+        return _constant(spec.value)
     if callable(spec):
-        return spec
-    value = float(spec)
-    return lambda t: value
+        return _mapped(spec)
+    return _constant(float(spec))

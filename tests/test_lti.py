@@ -92,6 +92,27 @@ class TestEval:
         with pytest.raises(EvaluationError):
             tf.eval(1.0)
 
+    def test_grid_marks_poles_on_it(self):
+        # poles at +-j and +-2j; the grid hits both
+        tf = RationalTF(Polynomial([1.0, 0.5]), Polynomial(np.polymul([1.0, 0.0, 1.0], [1.0, 0.0, 4.0])))
+        grid = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+        h, on_pole = tf.response(grid)
+        assert on_pole.tolist() == [False, True, False, True, False]
+        assert np.isnan(h[on_pole]).all() and np.isfinite(h[~on_pole]).all()
+        with pytest.raises(EvaluationError, match="omega=1.0"):
+            tf.eval_grid(grid)
+        assert tf.eval_grid(grid[[0, 2, 4]]).tolist() == h[~on_pole].tolist()
+
+    def test_grid_equals_one_polyval_per_point(self):
+        # the whole-grid evaluation gives each point's scalar Horner value, bit for bit
+        tf = RationalTF(Polynomial([2.0e-3, 0.3, 7.0, 1.0]), Polynomial([M, B, K, 0.2, 0.05]))
+        grid = np.logspace(-2, 4, 400)
+        got = tf.eval_grid(grid)
+        for w, h in zip(grid.tolist(), got.tolist()):
+            s = 1j * w
+            assert h == complex(np.polyval(tf.num.coeffs, s) / np.polyval(tf.den.coeffs, s))
+            assert tf.eval(w) == h
+
     def test_omega_must_be_positive(self):
         with pytest.raises(ValueError):
             motor_tf().eval(0.0)

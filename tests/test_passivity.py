@@ -117,6 +117,19 @@ class TestCheckPassive:
         assert "(iii)" in rep.first_violation
         assert -1e-10 < rep.min_real_part[1] < 0.0
 
+    def test_pole_on_grid_is_skipped(self):
+        # Y = s / (s^2 + 1): a lossless tank, passive, with its poles on the grid
+        Y = RationalTF(Polynomial([1.0, 0.0]), Polynomial([1.0, 0.0, 1.0]))
+        grid = FrequencyGrid(np.array([0.5, 1.0, 2.0]))
+        rep = check_passive(Y, grid)
+        assert rep.verdict == "passive"
+        skipped = rep.imag_pole_issues[-1]
+        assert skipped.startswith("skipped pole-on-grid points: [") and "1.0" in skipped
+        assert "0.5" not in skipped and "2.0" not in skipped
+        omegas, re_y = rep.sweep
+        assert omegas.tolist() == [0.5, 1.0, 2.0]
+        assert np.isnan(re_y[1]) and abs(re_y[0]) < 1e-15 and abs(re_y[2]) < 1e-15
+
     def test_double_origin_pole_fails_residue_criterion(self, gripper_linear):
         p = gripper_linear
         Y = dob_admittance(p, DOBConfig(lam=LAM, m_n=-p.b / LAM, b_n=-p.k / LAM, k_n=0.0))

@@ -301,6 +301,24 @@ def test_simulate_equals_nested_reference(plant, kind):
         assert getattr(got, name).tobytes() == want[name].tobytes(), name
 
 
+@pytest.mark.parametrize(
+    "kind, f_ext",
+    [("passive", ChirpSpec(0.3, 0.05, 400.0, 2.5)), ("composite_dahl", SineSpec(0.05, 3.0))],
+)
+def test_sampling_blocks_equal_nested_reference(kind, f_ext):
+    # the loop samples its forces a block of steps at a time; a run over more
+    # than two blocks equals the reference, which evaluates them per step
+    p = PlantParams.gripper()
+    ctrl = _backdrive_controllers(p.m)[kind]
+    f_ref = SineSpec(0.01, 2.0)
+    s0 = PlantState(x=0.01, v=-0.2, x_e=0.02, v_e=0.3, f_d=0.005)
+    got = simulate(p, ctrl, f_ext, f_ref, duration=2.5, dt=DT, initial_state=s0)
+    want = _reference_simulate(p, ctrl, f_ext, f_ref, duration=2.5, initial_state=s0)
+    assert len(got) > 2 * fluidsea.plant._SAMPLE_BLOCK
+    for name in TRACE_COLUMNS:
+        assert getattr(got, name).tobytes() == want[name].tobytes(), name
+
+
 @pytest.mark.parametrize("n_dahl", [1.0, 0.5, 2.0])
 @pytest.mark.parametrize("hysteresis", [True, False])
 def test_stepper_equals_nested_reference(n_dahl, hysteresis):
