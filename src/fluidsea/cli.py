@@ -32,7 +32,7 @@ from .experiments import (
     run_experiment,
     run_preset,
 )
-from .impedance import DahlFitError, WorkLoopError
+from .impedance import DahlFitError, PDSweepError, WorkLoopError
 from .plant import SimulationDivergedError
 from .sysid import FitError
 
@@ -94,7 +94,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationDivergedError, FitError, WorkLoopError, DahlFitError) as exc:
+    except (SimulationDivergedError, FitError, WorkLoopError, DahlFitError, PDSweepError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -33,9 +33,9 @@ from .lti import FrequencyGrid
 from .plant import (
     DEFAULT_DT,
     PlantParams,
-    PlantState,
     SimTrace,
     SimulationDivergedError,
+    linear_model,
     simulate,
     simulate_backdriven,
 )
@@ -45,6 +45,7 @@ from .sysid import FrequencyResponse
 __all__ = [
     "DahlFit",
     "DahlFitError",
+    "PDSweepError",
     "WorkLoop",
     "WorkLoopError",
     "ZWidthCurve",
@@ -65,6 +66,10 @@ class WorkLoopError(RuntimeError):
 
 class DahlFitError(RuntimeError):
     """Loop unsuitable for hysteresis fitting (non-hysteretic or degenerate)."""
+
+
+class PDSweepError(RuntimeError):
+    """The PD gain sweep found no stable start gain or no instability bound."""
 
 
 def snap_omega(omega: float, dt: float) -> float:
@@ -401,66 +406,57 @@ def zwidth(z_min: FrequencyResponse, z_max: FrequencyResponse) -> ZWidthCurve:
 
 
 # The PD gain sweep's rule: K_d / K_p, the loop's computation delay
-# [samples], the first gain tried [Nm/rad], the trial length [s], the
-# bisection steps, the decay a stable trial must reach, and the back-off.
+# [samples], the first gain tried [Nm/rad], the relative width the boundary
+# is bisected to, and the back-off.
 _PD_KD_RATIO = 0.02
 _PD_DELAY_SAMPLES = 1
 _PD_KP_START = 1.0
-_PD_TRIAL_TIME = 2.0
-_PD_BISECT_ITERS = 12
-_PD_DECAY_FACTOR = 0.05
+_PD_REL_WIDTH = 1e-12
 _PD_BACKOFF = 0.8
 
 
 def max_stable_pd(params: PlantParams, dt: float = DEFAULT_DT) -> PDConfig:
-    """Largest robustly stable PD hold gains under a declared deterministic rule.
+    """Largest stable PD hold gains, backed off, under a declared deterministic rule.
 
-    Sweeps K_p upward by doubling from ``_PD_KP_START`` = 1 Nm/rad, then
-    bisects ``_PD_BISECT_ITERS`` = 12 times, keeping K_d = ``_PD_KD_RATIO``
-    K_p = 0.02 K_p, with a ``_PD_DELAY_SAMPLES`` = 1 sample computation delay
-    in the loop. A trial of ``_PD_TRIAL_TIME`` = 2 s releases the linearized
-    plant (hysteresis disabled, so the threshold does not depend on
-    excitation amplitude) from a small motor offset; a gain passes when the
-    response of the last quarter of the trial has decayed below
-    ``_PD_DECAY_FACTOR`` = 0.05 times the first quarter. The bisected
-    boundary gain is finally multiplied by ``_PD_BACKOFF`` = 0.8, because a
-    gain bisected exactly onto the decay threshold has no margin left for
-    long excited runs.
+    K_d = ``_PD_KD_RATIO`` K_p = 0.02 K_p, with a ``_PD_DELAY_SAMPLES`` = 1
+    sample computation delay. A gain is stable when every eigenvalue of the
+    sampled closed loop of the linearized plant (hysteresis disabled, so the
+    bound does not depend on amplitude) lies inside the unit circle. That map
+    is probed from the loop: the RK4 map of :func:`~fluidsea.plant.linear_model`
+    over (x, v, x_e, v_e), the state after one step under a held unit actuator
+    force, and the delay line. K_p doubles from ``_PD_KP_START`` = 1 Nm/rad to
+    an unstable gain, the boundary is bisected geometrically to a relative
+    width of ``_PD_REL_WIDTH`` = 1e-12, and the stable end is multiplied by
+    ``_PD_BACKOFF`` = 0.8 for margin in long excited runs. Raises
+    ``PDSweepError`` if the start gain is unstable or 40 doublings find no bound.
     """
     p = params.without_hysteresis()
-    x0 = PlantState(x=1e-3, x_e=1e-3)
+    # Rows: the plant state (x, v, x_e, v_e), then the delay line from oldest to newest.
+    phi_cl = np.eye(4 + _PD_DELAY_SAMPLES, k=1)
+    # f_d is dropped: at F_c = 0 it is a constant, not a mode, and would pin rho at 1.
+    phi_cl[:4, :4] = linear_model(p, None, dt)[0][:4, :4]
+    # PD with K_p = 1, K_d = 0 and x_target = 1 holds F_a = 1 over step 0 from rest.
+    hold = PDConfig(K_p=1.0, K_d=0.0, x_target=1.0)
+    tr = simulate(p, hold, None, None, duration=2 * dt, dt=dt)
+    phi_cl[:4, 4] = (tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1])
 
     def stable(kp: float) -> bool:
-        cfg = PDConfig(K_p=kp, K_d=_PD_KD_RATIO * kp, delay_samples=_PD_DELAY_SAMPLES)
-        try:
-            tr = simulate(p, cfg, None, None, duration=_PD_TRIAL_TIME, dt=dt, initial_state=x0)
-        except SimulationDivergedError:
-            return False
-        n = len(tr)
-        head = float(np.max(np.abs(tr.x[: n // 4])))
-        tail = float(np.max(np.abs(tr.x[3 * n // 4:])))
-        return np.isfinite(tail) and tail < _PD_DECAY_FACTOR * head
+        phi_cl[-1, :4] = (-kp, -_PD_KD_RATIO * kp, 0.0, 0.0)
+        return bool(np.max(np.abs(np.linalg.eigvals(phi_cl))) < 1.0)
 
     if not stable(_PD_KP_START):
-        raise RuntimeError("PD sweep start gain already unstable")
+        raise PDSweepError("PD sweep start gain already unstable")
     lo = _PD_KP_START
-    hi = None
-    kp = _PD_KP_START
     for _ in range(40):
-        kp *= 2.0
-        if stable(kp):
-            lo = kp
-        else:
-            hi = kp
+        if not stable(2.0 * lo):
             break
-    if hi is None:
-        raise RuntimeError("PD sweep failed to find an instability bound")
-    for _ in range(_PD_BISECT_ITERS):
+        lo *= 2.0
+    else:
+        raise PDSweepError("PD sweep failed to find an instability bound")
+    hi = 2.0 * lo
+    while hi > lo * (1.0 + _PD_REL_WIDTH):
         mid = math.sqrt(lo * hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
     kp_final = _PD_BACKOFF * lo
     return PDConfig(K_p=kp_final, K_d=_PD_KD_RATIO * kp_final, delay_samples=_PD_DELAY_SAMPLES)
 

@@ -257,11 +257,13 @@ def linear_model(params: PlantParams, controller, dt: float = DEFAULT_DT):
 
     for the external force f. The map is probed from the loop, one step at a
     time: each column of ``phi`` from a unit initial state, each gamma from a
-    unit force at one stage time. Proportional stage gains fold in through
-    the probe. With ``F_c = 0`` the f_d row is the identity, so an initial
-    f_d acts as a constant force. Raises ``ValueError`` when ``params.F_c``
-    is nonzero, and ``NotImplementedError`` for a controller that keeps
-    state (dob, pd, composite).
+    unit force at one stage time, the unit being 2^-30 so that a probe's
+    unread second step stays clear of the divergence guard. Proportional
+    stage gains fold in through the probe. With ``F_c = 0`` the f_d row is
+    the identity, so an initial f_d acts as a constant force. Raises
+    ``ValueError`` when ``params.F_c`` is nonzero, and
+    ``NotImplementedError`` for a controller that keeps state (dob, pd,
+    composite).
     """
     if params.F_c != 0.0:
         raise ValueError("linear_model needs a plant without hysteresis (F_c = 0)")
@@ -272,14 +274,15 @@ def linear_model(params: PlantParams, controller, dt: float = DEFAULT_DT):
         )
     ctrl = make_controller(controller, dt)
     zero = as_signal(None)
+    unit = 2.0**-30  # a power of two: scaling by it rounds exactly
 
     def after_one_step(s0, fe_fn):
         tr = _run(params, ctrl, fe_fn, None, zero, 2, dt, s0)
-        return [tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1], tr.F_d[1]]
+        return np.array([tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1], tr.F_d[1]]) / unit
 
-    phi = np.array([after_one_step(PlantState(*unit), zero) for unit in np.eye(5).tolist()]).T
+    phi = np.array([after_one_step(PlantState(*s), zero) for s in (unit * np.eye(5)).tolist()]).T
     gammas = [
-        np.array(after_one_step(PlantState(), lambda t, at=at: np.where(t == at, 1.0, 0.0)))
+        after_one_step(PlantState(), lambda t, at=at: np.where(t == at, unit, 0.0))
         for at in (0.0, 0.5 * dt, dt)
     ]
     return phi, *gammas

@@ -541,6 +541,14 @@ grid_points = 2
         assert data.shape == (2, 4)
         assert np.all(data[:, 3] > 20.0)  # healthy width on both points
 
+    @pytest.mark.parametrize("m", ["1e-6", "3e-6"])
+    def test_zwidth_pd_sweep_failure_exit_code(self, tmp_path, capsys, m):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(f"[plant]\nm = {m}\n\n[analysis]\ntype = zwidth\n")
+        rc = main(["zwidth", str(cfg_path), "--out", str(tmp_path / "zw")])
+        assert rc == 3
+        assert "numerical failure: PD sweep start gain" in capsys.readouterr().err
+
 
 # Run in a fresh interpreter: the CLI's simulate and passivity commands load
 # no scipy module, and the one fit that needs scipy imports it on first use.

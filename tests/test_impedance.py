@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from fluidsea.controllers import CompositeConfig, DOBConfig, FeedforwardConfig
+from fluidsea.controllers import CompositeConfig, DOBConfig, FeedforwardConfig, PDConfig
 from fluidsea.impedance import (
+    _PD_BACKOFF,
     DahlFitError,
     WorkLoopError,
     fit_dahl,
@@ -19,7 +20,7 @@ from fluidsea.impedance import (
 )
 from fluidsea.lti import FrequencyGrid
 from fluidsea.passivity import endpoint_impedance
-from fluidsea.plant import SimTrace
+from fluidsea.plant import PlantState, SimTrace, SimulationDivergedError, simulate
 from fluidsea.sysid import FrequencyResponse
 
 DT = 1.0 / 2000.0
@@ -394,3 +395,18 @@ class TestMaxStablePd:
 
         tr = simulate(gripper, a, SineSpec(0.1, 3.0), None, duration=30.0, dt=DT)
         assert np.max(np.abs(tr.x)) < 0.1
+
+    def test_backed_off_from_the_boundary_the_loop_confirms(self, gripper, gripper_linear):
+        kp = max_stable_pd(gripper).K_p
+        assert kp == pytest.approx(88.3674, abs=1e-3)
+        boundary = kp / _PD_BACKOFF
+
+        def release(kp):
+            cfg = PDConfig(K_p=kp, K_d=0.02 * kp, delay_samples=1)
+            s0 = PlantState(x=1e-3, x_e=1e-3)
+            return simulate(gripper_linear, cfg, None, None, duration=5.0, dt=DT, initial_state=s0)
+
+        x = release(0.95 * boundary).x
+        assert np.max(np.abs(x[-len(x) // 4:])) < 1e-6 * np.max(np.abs(x[:len(x) // 4]))
+        with pytest.raises(SimulationDivergedError):
+            release(1.05 * boundary)

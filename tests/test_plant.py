@@ -418,6 +418,31 @@ def test_linear_model_scope():
             linear_model(_PLANTS["linear"], _backdrive_controllers(1e-3)[kind], DT)
 
 
+@pytest.mark.parametrize("kind", list(_STATELESS))
+def test_linear_model_probes_are_exact(kind):
+    p, ctrl = _PLANTS["linear"], _STATELESS[kind]
+    phi, g0, _, _ = linear_model(p, ctrl, DT)
+
+    def after_one_step(f_ext, s0):
+        tr = _loop(p, ctrl, f_ext, None, duration=2 * DT, initial_state=s0)
+        return [tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1], tr.F_d[1]]
+
+    for j, unit in enumerate(np.eye(5).tolist()):
+        assert phi[:, j].tolist() == after_one_step(None, PlantState(*unit))
+    assert g0.tolist() == after_one_step(lambda t: 1.0 if t == 0.0 else 0.0, PlantState())
+
+
+def test_stiff_linear_run_diverges_at_the_loops_step():
+    p = replace(_PLANTS["linear"], m=1e-6)
+    linear_model(p, None, DT)  # the probes' unread second steps stay finite
+    steps = []
+    for run in (simulate, _loop):
+        with pytest.raises(SimulationDivergedError) as err:
+            run(p, None, SineSpec(0.1, 3.0), None, duration=5.0, dt=DT)
+        steps.append(err.value.step_index)
+    assert steps == [4, 4]
+
+
 @pytest.mark.parametrize("K_f", [-3.0, -10.0])
 def test_linear_divergence_equals_loop(K_f, monkeypatch):
     p, ctrl = _PLANTS["linear"], ProportionalFFConfig(K_f, "internal")
