@@ -292,26 +292,23 @@ def _dahl_branch(x, x0, f0, s, F_c, sigma):
     return s * F_c + (f0 - s * F_c) * np.exp(-sigma * (x - x0) * s / F_c)
 
 
+def _dahl_residuals(segments, F_c, sigma):
+    """Both branches' model minus data, the residual :func:`fit_dahl` minimizes."""
+    return np.concatenate(
+        [_dahl_branch(xs, xs[0], fs[0], s, F_c, sigma) - fs for xs, fs, s in segments]
+    )
+
+
 # A loop whose area is below this fraction of its bounding box is not hysteretic.
 _AREA_FLOOR_REL = 1e-3
 
 
-def fit_dahl(loop: WorkLoop) -> DahlFit:
-    """Least-squares fit of the closed-form n = 1 branches to a loop.
+def _dahl_problem(loop: WorkLoop):
+    """The fit's branches and start: ``[(x, F, s), (x, F, s)], (F_c0, sigma0)``.
 
-    Both branches are fitted jointly for (F_c, sigma); each branch anchors
-    at its own first sample (x0, F0) taken from the data. Quasi-static loops
-    only: the model is rate independent. ``scipy.optimize`` is imported here,
-    on the first fit, so that no other run of the package loads scipy.
-
-    Raises
-    ------
-    DahlFitError
-        If the loop is non-hysteretic, i.e. its area is below
-        ``_AREA_FLOOR_REL`` = 1e-3 times the bounding-box area.
+    Each branch holds the samples of one direction s = +1 or -1, sorted
+    along it, so that its first sample is its anchor.
     """
-    from scipy.optimize import least_squares
-
     xr = float(np.max(loop.x_e) - np.min(loop.x_e))
     fr = float(np.max(loop.F) - np.min(loop.F))
     box = xr * fr
@@ -335,23 +332,105 @@ def fit_dahl(loop: WorkLoop) -> DahlFit:
     xs0, fs0, _ = segments[0]
     k0 = abs((fs0[min(5, len(fs0) - 1)] - fs0[0]) / (xs0[min(5, len(xs0) - 1)] - xs0[0] + 1e-30))
     sigma0 = max(k0, f_c0 / max(xr, 1e-9))
+    return segments, (f_c0, sigma0)
 
-    def residuals(theta):
-        F_c, sigma = theta
-        out = []
-        for xs, fs, s in segments:
-            out.append(_dahl_branch(xs, xs[0], fs[0], s, F_c, sigma) - fs)
-        return np.concatenate(out)
 
-    sol = least_squares(
-        residuals,
-        x0=[f_c0, sigma0],
-        bounds=([1e-12, 1e-9], [np.inf, np.inf]),
-        xtol=1e-14,
-        ftol=1e-14,
-    )
-    rms = float(np.sqrt(np.mean(sol.fun**2)))
-    return DahlFit(F_c=float(sol.x[0]), sigma=float(sol.x[1]), residual_rms=rms)
+# Levenberg-Marquardt: the iteration cap, the start damping, the damping above
+# which no step is taken, and the relative step that ends the solve.
+_LM_MAX_ITER = 200
+_LM_MU0 = 1e-3
+_LM_MU_MAX = 1e16
+_LM_XTOL = 1e-15
+# the lower bounds of F_c and sigma
+_F_C_MIN = 1e-12
+_SIGMA_MIN = 1e-9
+
+
+def fit_dahl(loop: WorkLoop) -> DahlFit:
+    """Least-squares fit of the closed-form n = 1 branches to a loop.
+
+    Both branches are fitted jointly for (F_c, sigma), with F_c >= 1e-12 and
+    sigma >= 1e-9; each branch anchors at its own first sample (x0, F0)
+    taken from the data. Quasi-static loops only: the model is rate
+    independent.
+
+    The solve is Levenberg-Marquardt in (F_c, L), L = F_c / sigma, with the
+    analytic Jacobian
+
+        dr/dF_c = s (1 - E),    dr/dL = (F0 - s F_c) E d / L^2,
+
+    where d = (x - x0) s and E = exp(-d / L). The branch is linear in F_c at
+    fixed L, so the valley F_c / sigma = const, down which a loop that the
+    model fits poorly runs to sigma = 1e-9, is a straight line here. Each
+    step solves (J'J + mu diag(J'J)) delta = -J'r, a 2 x 2 system formed
+    from sums of elementwise products (no BLAS call). A step is accepted
+    if it does not raise the cost; one that would take sigma below 1e-9
+    ends on that bound, and from there the steps follow the bound until one
+    leaves it. mu starts at 1e-3, falls tenfold after an accepted step and
+    rises tenfold after a rejected one. The solve stops when both relative
+    steps are at most 1e-15, or when mu passes 1e16 without an accepted step.
+
+    Raises
+    ------
+    DahlFitError
+        If the loop is non-hysteretic, i.e. its area is below
+        ``_AREA_FLOOR_REL`` = 1e-3 times the bounding-box area; if a branch
+        has fewer than 8 samples; or if the solve has not stopped after
+        ``_LM_MAX_ITER`` = 200 iterations.
+    """
+    segments, (f_c0, sigma0) = _dahl_problem(loop)
+
+    def sigma_of(F_c, L):
+        return max(F_c / L, _SIGMA_MIN)
+
+    def cost_of(F_c, L):
+        r = _dahl_residuals(segments, F_c, sigma_of(F_c, L))
+        return r, (r * r).sum()
+
+    # per sample: the branch direction s, the anchor force f0 and d = (x - x0) s
+    s = np.concatenate([np.full(xs.size, s) for xs, _, s in segments])
+    f0 = np.concatenate([np.full(xs.size, fs[0]) for xs, fs, _ in segments])
+    d = np.concatenate([(xs - xs[0]) * s for xs, _, s in segments])
+
+    F_c, L = f_c0, f_c0 / sigma0
+    r, cost = cost_of(F_c, L)
+    mu = _LM_MU0
+    for _ in range(_LM_MAX_ITER):
+        e = np.exp(-d / L)
+        j_f = s - s * e
+        j_l = (f0 - s * F_c) * e * d / (L * L)
+        a_ff, a_fl, a_ll = (j_f * j_f).sum(), (j_f * j_l).sum(), (j_l * j_l).sum()
+        g_f, g_l = (j_f * r).sum(), (j_l * r).sum()
+        on_bound = F_c <= _SIGMA_MIN * L
+        if on_bound:  # the direction along sigma = 1e-9, i.e. F_c = 1e-9 L
+            j_b = _SIGMA_MIN * j_f + j_l
+            a_bb, g_b = (j_b * j_b).sum(), (j_b * r).sum()
+        while mu <= _LM_MU_MAX:
+            d_ff, d_ll = a_ff * (1.0 + mu), a_ll * (1.0 + mu)
+            det = d_ff * d_ll - a_fl * a_fl
+            new_f = F_c + (a_fl * g_l - d_ll * g_f) / det
+            new_l = L + (a_fl * g_f - d_ff * g_l) / det
+            if on_bound and new_f < _SIGMA_MIN * new_l:
+                new_l = L - g_b / (a_bb * (1.0 + mu))
+            new_f = max(new_f, _SIGMA_MIN * new_l)
+            if new_l > 0 and new_f >= _F_C_MIN:
+                r_new, cost_new = cost_of(new_f, new_l)
+                if cost_new <= cost:
+                    break
+            mu *= 10.0
+        else:
+            break  # no damped step keeps the cost
+        rel = max(abs(new_f - F_c) / F_c, abs(new_l - L) / L)
+        F_c, L, r, cost = new_f, new_l, r_new, cost_new
+        mu /= 10.0
+        if rel <= _LM_XTOL:
+            break
+    else:
+        raise DahlFitError(
+            f"Dahl fit not converged in {_LM_MAX_ITER} iterations; last relative step {rel:.1e}"
+        )
+    rms = float(np.sqrt(np.mean(r**2)))
+    return DahlFit(F_c=float(F_c), sigma=float(sigma_of(F_c, L)), residual_rms=rms)
 
 
 # ---------------------------------------------------------------------------

@@ -213,11 +213,14 @@ def simulate(
 
     A linear run, with ``params.F_c == 0`` and no controller or a
     proportional one, carries no state from step to step beyond the plant's.
-    It takes no loop: the RK4 map of :func:`linear_model`, probed from the
-    loop, is applied to the inputs by a prefix scan. ``t``, ``F_e`` and
+    When its RK4 map of :func:`linear_model`, probed from the loop, has a
+    spectral radius of at most 1 on (x, v, x_e, v_e), the run takes no loop:
+    the map is applied to the inputs by a prefix scan. ``t``, ``F_e`` and
     ``F_ref`` are the loop's bit for bit, the other columns agree with it to
     roundoff (below 1e-13 relative on a 120 s chirp), and a divergence
-    raises at the loop's step index. Every other run steps the loop.
+    raises at the loop's step index. Every other run steps the loop: the
+    scan's powers of an unstable map overflow, where the loop returns the
+    all-zero record of a zero input from rest.
 
     Parameters
     ----------
@@ -239,7 +242,8 @@ def simulate(
     s0 = initial_state or PlantState()
     if params.F_c == 0.0 and _stateless(controller):
         model = linear_model(params, controller, dt)
-        return _run_linear(model, params, ctrl, fe_fn, fref_fn, steps, dt, s0)
+        if np.max(np.abs(np.linalg.eigvals(model[0][:4, :4]))) <= 1.0:
+            return _run_linear(model, params, ctrl, fe_fn, fref_fn, steps, dt, s0)
     return _run(params, ctrl, fe_fn, None, fref_fn, steps, dt, s0)
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import re
@@ -550,8 +551,8 @@ grid_points = 2
         assert "numerical failure: PD sweep start gain" in capsys.readouterr().err
 
 
-# Run in a fresh interpreter: the CLI's simulate and passivity commands load
-# no scipy module, and the one fit that needs scipy imports it on first use.
+# Run in a fresh interpreter: no command of the CLI, the Dahl fit of fig7
+# included, and no direct fit loads a scipy module.
 _NO_SCIPY_SCRIPT = """
 import sys
 
@@ -560,15 +561,15 @@ import fluidsea, fluidsea.cli
 d = sys.argv[1]
 assert fluidsea.cli.main(["simulate", d + "/simulate.ini", "--out", d + "/sim"]) == 0
 assert fluidsea.cli.main(["passivity", d + "/passivity.ini", "--out", d + "/pas"]) == 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
+assert fluidsea.cli.main(["preset", "fig7-dahl-fit", "--out", d + "/fig7"]) == 0
 
 from fluidsea.impedance import fit_dahl, quasi_static_backdrive, work_loop
 from fluidsea.plant import PlantParams
 
 fit = fit_dahl(work_loop(quasi_static_backdrive(PlantParams.gripper(), None)))
 assert fit.F_c > 0 and fit.sigma > 0, fit
-assert "scipy.optimize" in sys.modules
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
 """
 
 
@@ -583,3 +584,26 @@ def test_cli_runs_load_no_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_imports_no_scipy():
+    paths = [
+        os.path.join(d, name)
+        for d, _, names in os.walk(os.path.dirname(fluidsea.__file__))
+        for name in names
+        if name.endswith(".py")
+    ]
+    found = []
+    for path in sorted(paths):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [(path, m) for m in modules if m.split(".")[0] == "scipy"]
+    assert len(paths) > 1
+    assert not found

@@ -4,12 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fluidsea.impedance
 from fluidsea.controllers import CompositeConfig, DOBConfig, FeedforwardConfig, PDConfig
+from fluidsea.experiments import preset_config
 from fluidsea.impedance import (
     _PD_BACKOFF,
     DahlFitError,
     WorkLoopError,
+    _dahl_problem,
+    _dahl_residuals,
     fit_dahl,
     max_stable_pd,
     measure_impedance,
@@ -20,7 +26,7 @@ from fluidsea.impedance import (
 )
 from fluidsea.lti import FrequencyGrid
 from fluidsea.passivity import endpoint_impedance
-from fluidsea.plant import PlantState, SimTrace, SimulationDivergedError, simulate
+from fluidsea.plant import PlantParams, PlantState, SimTrace, SimulationDivergedError, simulate
 from fluidsea.sysid import FrequencyResponse
 
 DT = 1.0 / 2000.0
@@ -324,6 +330,69 @@ class TestFitDahl:
         fit = fit_dahl(work_loop(tr, "F_e"))
         assert fit.F_c == pytest.approx(gripper.F_c, rel=0.10)
         assert fit.sigma == pytest.approx(gripper.sigma, rel=0.15)
+
+    @pytest.mark.parametrize("name", ["fig7", "passive", "synthetic"])
+    def test_equals_least_squares(self, name):
+        least_squares = pytest.importorskip("scipy.optimize").least_squares
+        loop = _FIT_LOOPS[name]()
+        ref = _reference_fit(least_squares, loop)
+        fit = fit_dahl(loop)
+        assert fit.F_c == pytest.approx(ref[0], rel=1e-6)
+        assert fit.sigma == pytest.approx(ref[1], rel=1e-6)
+        assert _fit_cost(loop, fit.F_c, fit.sigma) <= _fit_cost(loop, *ref)
+
+    @settings(max_examples=20, deadline=None)
+    @given(F_c=st.floats(0.005, 0.1), sigma=st.floats(2.0, 50.0), spread=st.floats(5.0, 100.0))
+    def test_synthetic_loops_property(self, F_c, sigma, spread):
+        least_squares = pytest.importorskip("scipy.optimize").least_squares
+        loop = work_loop(synth_dahl_loop(F_c, sigma, spread * F_c / sigma, dt=1e-3))
+        fit = fit_dahl(loop)
+        assert fit.F_c == pytest.approx(F_c, rel=0.02)
+        assert fit.sigma == pytest.approx(sigma, rel=0.02)
+        # least_squares may stop short by more than 1e-6 here; the cost may
+        # differ by the rounding of a sum of some 12,000 squares
+        ref = _reference_fit(least_squares, loop)
+        assert _fit_cost(loop, fit.F_c, fit.sigma) <= (1.0 + 1e-12) * _fit_cost(loop, *ref)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(fluidsea.impedance, "_LM_MAX_ITER", 1)
+        with pytest.raises(DahlFitError, match="not converged in 1 iterations"):
+            fit_dahl(work_loop(synth_dahl_loop(0.032, 12.8, 0.5)))
+
+
+def _fig7_loop():
+    cfg = preset_config("fig7-dahl-fit")
+    a = cfg.analysis
+    trace = quasi_static_backdrive(
+        cfg.plant, cfg.controller, omega=a.backdrive_omega, amplitude=a.backdrive_amplitude,
+        cycles=a.backdrive_cycles, dt=cfg.dt,
+    )
+    return work_loop(trace, "F_e")
+
+
+_FIT_LOOPS = {
+    "fig7": _fig7_loop,
+    "passive": lambda: work_loop(quasi_static_backdrive(PlantParams.gripper(), None)),
+    "synthetic": lambda: work_loop(synth_dahl_loop(0.032, 12.8, 0.5)),
+}
+
+
+def _reference_fit(least_squares, loop):
+    """(F_c, sigma) from scipy's least_squares on the fit's problem, as the fit once solved it."""
+    segments, start = _dahl_problem(loop)
+    sol = least_squares(
+        lambda theta: _dahl_residuals(segments, *theta),
+        x0=start,
+        bounds=([1e-12, 1e-9], [np.inf, np.inf]),
+        xtol=1e-14,
+        ftol=1e-14,
+    )
+    return sol.x
+
+
+def _fit_cost(loop, F_c, sigma):
+    segments, _ = _dahl_problem(loop)
+    return float(np.sum(_dahl_residuals(segments, F_c, sigma) ** 2))
 
 
 class TestZWidth:

@@ -443,6 +443,32 @@ def test_stiff_linear_run_diverges_at_the_loops_step():
     assert steps == [4, 4]
 
 
+def _map_radius(p):
+    return np.max(np.abs(np.linalg.eigvals(linear_model(p, None, DT)[0][:4, :4])))
+
+
+def test_unstable_linear_map_steps_the_loop(monkeypatch):
+    # at rest under no force the loop stays at zero, where the scan of an
+    # unstable map overflows (inf * 0) and reported a divergence
+    p = replace(_PLANTS["linear"], m=1e-6)
+    assert _map_radius(p) > 1e3
+    assert _map_radius(_PLANTS["linear"]) <= 1.0
+    want = _loop(p, duration=1.0)
+    steps = []
+    run = fluidsea.plant._run
+
+    def counting_run(*args):
+        steps.append(args[5])
+        return run(*args)
+
+    monkeypatch.setattr(fluidsea.plant, "_run", counting_run)
+    got = simulate(p, None, None, None, duration=1.0, dt=DT)
+    assert steps == [2] * 8 + [2000]  # the probes, then the loop
+    for name in TRACE_COLUMNS:
+        assert got.column(name).tobytes() == want.column(name).tobytes(), name
+    assert not np.any(got.x_e)
+
+
 @pytest.mark.parametrize("K_f", [-3.0, -10.0])
 def test_linear_divergence_equals_loop(K_f, monkeypatch):
     p, ctrl = _PLANTS["linear"], ProportionalFFConfig(K_f, "internal")
