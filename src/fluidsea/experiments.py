@@ -285,11 +285,12 @@ def _run_workloop(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
     ]
     if a.fit_dahl:
         fit = imp.fit_dahl(ext)
-        lines += [
-            f"dahl fit: F_c {fit.F_c:.6e} Nm, sigma {fit.sigma:.6e} Nm/rad, "
-            f"rms residual {fit.residual_rms:.3e}",
-            "reference values: F_c 0.032 Nm, sigma 12.8 Nm/rad",
-        ]
+        lines.append(f"dahl fit: F_c {fit.F_c:.6e} Nm, sigma {fit.sigma:.6e} Nm/rad, "
+                     f"rms residual {fit.residual_rms:.3e}")
+        if fit.on_sigma_bound:
+            lines.append(f"dahl fit: sigma {fit.sigma:.1e} Nm/rad is its lower bound; "
+                         "the Dahl model does not describe this loop")
+        lines.append("reference values: F_c 0.032 Nm, sigma 12.8 Nm/rad")
     art.write_text("workloop_report.txt", "\n".join(lines) + "\n")
 
 

@@ -287,6 +287,11 @@ class DahlFit:
     sigma: float
     residual_rms: float
 
+    @property
+    def on_sigma_bound(self) -> bool:
+        """Whether sigma ended on its lower bound 1e-9: the model does not describe the loop."""
+        return self.sigma <= _SIGMA_MIN
+
 
 def _dahl_branch(x, x0, f0, s, F_c, sigma):
     return s * F_c + (f0 - s * F_c) * np.exp(-sigma * (x - x0) * s / F_c)
@@ -554,14 +559,29 @@ def quasi_static_backdrive(
     external force is recorded as an output, so work loops are centred and
     their displacement range is exact regardless of the rendered impedance
     (a force source cannot hold a freed endpoint on a fixed swing). The
-    frequency is snapped to an integer number of samples per period.
+    frequency is snapped to an integer number of samples per period, n.
+
+    The record holds (cycles - 1) n + 2 samples. It ends two samples past
+    the upward zero crossing of x_e at (cycles - 1) n, which closes the
+    cycle :func:`work_loop` reads, cycle cycles - 1; nothing after it is
+    simulated. A crossing at k n is the sample pair (k n, k n + 1) when
+    ``amplitude sin(w k n dt)`` rounds below zero and (k n - 1, k n)
+    otherwise; both pairs lie in the record. Simulating all ``cycles``
+    periods would add nothing: that record ends one sample short of the
+    crossing at ``cycles`` n, so its last closed cycle is the same one and,
+    the run being causal, holds the same samples.
+
+    Raises ``ValueError`` unless ``amplitude > 0``: a negative amplitude
+    moves the upward crossings by half a period, and a zero one has no loop.
     """
+    if not amplitude > 0:
+        raise ValueError(f"amplitude must be > 0, not {amplitude}")
     w = snap_omega(omega, dt)
-    period = 2.0 * math.pi / w
+    n = int(round(2.0 * math.pi / w / dt))
     return simulate_backdriven(
         params,
         controller,
         SineMotionSpec(amplitude, w),
-        duration=cycles * period,
+        duration=((cycles - 1) * n + 2) * dt,
         dt=dt,
     )

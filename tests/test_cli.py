@@ -216,6 +216,7 @@ class TestPresets:
         report = open(tmp_path / "workloop_report.txt").read()
         assert "dahl fit" in report
         assert "0.032" in report and "12.8" in report
+        assert "lower bound" not in report
 
 
 class TestRunExperiment:
@@ -241,6 +242,16 @@ class TestRunExperiment:
                 open(tmp_path / "a" / name, "rb").read()
                 == open(tmp_path / "b" / name, "rb").read()
             )
+
+    def test_boundary_dahl_fit_flagged(self, tmp_path):
+        # the composite with the Dahl estimate leaves a loop the model does
+        # not describe: its fit ends on sigma's lower bound
+        run_experiment(parse_config(WORKLOOP_CFG), str(tmp_path))
+        report = (tmp_path / "workloop_report.txt").read_text().splitlines()
+        assert "sigma 1.000000e-09 Nm/rad" in report[2]
+        assert report[3] == ("dahl fit: sigma 1.0e-09 Nm/rad is its lower bound; "
+                             "the Dahl model does not describe this loop")
+        assert report[4].startswith("reference values")
 
     def test_failed_write_leaves_no_tmp(self, tmp_path):
         art = ArtifactWriter(str(tmp_path))

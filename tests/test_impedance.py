@@ -26,7 +26,15 @@ from fluidsea.impedance import (
 )
 from fluidsea.lti import FrequencyGrid
 from fluidsea.passivity import endpoint_impedance
-from fluidsea.plant import PlantParams, PlantState, SimTrace, SimulationDivergedError, simulate
+from fluidsea.plant import (
+    PlantParams,
+    PlantState,
+    SimTrace,
+    SimulationDivergedError,
+    simulate,
+    simulate_backdriven,
+)
+from fluidsea.signals import SineMotionSpec
 from fluidsea.sysid import FrequencyResponse
 
 DT = 1.0 / 2000.0
@@ -302,6 +310,69 @@ class TestWorkLoop:
     def test_spread_window_query(self):
         loop = work_loop(synth_dahl_loop(0.032, 12.8, 0.5))
         assert half_spread_over(loop, -0.2, 0.2) == pytest.approx(0.032, rel=0.01)
+
+
+_BACKDRIVE_CONTROLLERS = {
+    "none": lambda p: None,
+    "dob": lambda p: DOBConfig.inertial(p.m, LAM_HZ),
+    "composite": lambda p: CompositeConfig(
+        DOBConfig.inertial(p.m, LAM_HZ), FeedforwardConfig.from_params(p, include_dahl=True)
+    ),
+}
+
+
+def _loop_or_error(trace, column):
+    """The bytes and figures of ``work_loop(trace, column)``, or its error message.
+
+    At a coarse dt some drawn loops fail the closure check; both records
+    must then fail it alike.
+    """
+    try:
+        loop = work_loop(trace, column)
+    except WorkLoopError as exc:
+        return str(exc)
+    return loop.x_e.tobytes(), loop.F.tobytes(), loop.area, loop.amplitude
+
+
+class TestQuasiStaticBackdrive:
+    @pytest.mark.parametrize("amplitude", [0.0, -0.5])
+    def test_amplitude_must_be_positive(self, gripper, amplitude):
+        with pytest.raises(ValueError, match="amplitude"):
+            quasi_static_backdrive(gripper, None, amplitude=amplitude)
+
+    def test_record_ends_past_the_last_closable_crossing(self, gripper):
+        # the workloop presets' backdrive: 1 rad/s, 4 cycles of n samples at dt = 0.5 ms
+        n = 12566
+        tr = quasi_static_backdrive(gripper, None)
+        assert len(tr) == 3 * n + 2
+        sign = np.signbit(tr.x_e)
+        ups = np.nonzero(sign[:-1] & ~sign[1:])[0]
+        assert ups.tolist() == [n, 2 * n, 3 * n]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        omega=st.floats(0.5, 1.5),
+        amplitude=st.floats(0.05, 1.0),
+        cycles=st.integers(4, 6),
+        dt=st.floats(8e-3, 1e-2),
+        controller=st.sampled_from(sorted(_BACKDRIVE_CONTROLLERS)),
+    )
+    def test_loops_equal_whole_period_record(
+        self, gripper, omega, amplitude, cycles, dt, controller
+    ):
+        ctrl = _BACKDRIVE_CONTROLLERS[controller](gripper)
+        w = snap_omega(omega, dt)
+        n = int(round(2 * math.pi / (w * dt)))
+        short = quasi_static_backdrive(
+            gripper, ctrl, omega=omega, amplitude=amplitude, cycles=cycles, dt=dt
+        )
+        whole = simulate_backdriven(
+            gripper, ctrl, SineMotionSpec(amplitude, w), duration=cycles * n * dt, dt=dt
+        )
+        assert len(short) == (cycles - 1) * n + 2
+        assert len(whole) == cycles * n
+        for column in ("F_e", "F_p"):
+            assert _loop_or_error(short, column) == _loop_or_error(whole, column)
 
 
 class TestFitDahl:
