@@ -8,6 +8,12 @@ builds at rest from a configuration, driven one sample at a time through
 ``step(F_p, v, x, F_ref) -> F_a``. No controller reads F_e: external-force
 feedback acts through the stage gains the simulator applies.
 
+A runtime with state (observer, PD, composite) keeps it in a closure, its
+control law, and its ``step`` is that closure, so one controller step is
+one call. The observer and feedforward laws are written once, in
+:func:`_force_law`, which the observer, the feedforward compensator and the
+composite all build from; the PD law is :func:`_pd_law`.
+
 Controller catalogue
 --------------------
 * proportional force feedback, on the internal (line) force or the external
@@ -29,7 +35,6 @@ velocity integrals and measured positions agree.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .lti import DiscreteFilter, Polynomial, RationalTF, discretize_tustin
@@ -186,12 +191,14 @@ class NullController:
     One instance serves one simulation loop and starts from rest. The
     simulator applies the two stage gains inside the integrator stages
     (analog proportional feedback; discrete controllers leave them at zero)
-    and records ``last_f_cmp``, the feedforward force of the last step.
+    and records ``last_f_cmp``, the feedforward force of the last step. That
+    force moves only when ``has_feedforward`` is set; otherwise it stays 0.
     """
 
     stage_gain_internal = 0.0
     stage_gain_external = 0.0
     last_f_cmp = 0.0
+    has_feedforward = False
 
     def __init__(self, cfg, dt: float):
         pass
@@ -216,23 +223,128 @@ class ProportionalFFController(NullController):
             self.stage_gain_external = cfg.K_f
 
 
-class PDController(NullController):
+class _LawStep:
+    """``step`` of a runtime whose law is a closure over its state, ``_law``.
+
+    On an instance it gives that closure itself, so a controller step is one
+    call, with the state in closure cells rather than instance attributes.
+    It is a non-data descriptor: ``step`` stays defined on the class, and a
+    wrapper assigned to ``ctrl.step`` on an instance takes precedence.
+    """
+
+    def __get__(self, ctrl, cls=None):
+        return self if ctrl is None else ctrl._law
+
+
+class _LawController(NullController):
+    """A runtime controller whose law, ``_law``, is a closure built in ``__init__``."""
+
+    step = _LawStep()
+
+
+def _pd_law(cfg: PDConfig):
+    """PD hold ``step(F_p, v, x, F_ref)``, delayed by ``cfg.delay_samples`` whole samples.
+
+    The delayed values wait in a ring of that many slots, which starts at 0.
+    """
+    K_p, K_d, x_target, delay = cfg.K_p, cfg.K_d, cfg.x_target, cfg.delay_samples
+    held = [0.0] * delay
+    slot = 0
+
+    def step(F_p, v, x, F_ref):
+        nonlocal slot
+        u = K_p * (x_target - x) - K_d * v
+        if not delay:
+            return u
+        u, held[slot] = held[slot], u
+        slot += 1
+        if slot == delay:
+            slot = 0
+        return u
+
+    return step
+
+
+class PDController(_LawController):
     """PD hold F_a = K_p (x_target - x) - K_d v, delayed by whole samples."""
 
     def __init__(self, cfg: PDConfig, dt: float):
-        self.cfg = cfg
-        self._queue: deque[float] = deque([0.0] * cfg.delay_samples)
-
-    def step(self, F_p, v, x, F_ref):
-        cfg = self.cfg
-        u = cfg.K_p * (cfg.x_target - x) - cfg.K_d * v
-        if cfg.delay_samples == 0:
-            return u
-        self._queue.append(u)
-        return self._queue.popleft()
+        self._law = _pd_law(cfg)
 
 
-class DOBController(NullController):
+def _force_law(runtime, dt: float, observer: DOBConfig | None = None,
+               feedforward: FeedforwardConfig | None = None):
+    """The observer law, the feedforward law or both, as one ``step(F_p, v, x, F_ref)``.
+
+    This is the one place where the two laws are written. The feedforward,
+    if given, runs first: its force F_cmp is stored as ``runtime.last_f_cmp``
+    and returned when there is no observer, and otherwise added to F_ref.
+    The observer, if given, then runs on that reference and returns F_a; it
+    rejects a non-finite input with ``ValueError``. Both keep their state in
+    the closure.
+
+    Observer: ``F_a = F_ref + lambda (Int (F_ref + F_p) - m_n v - b_n x - k_n Int x)``,
+    both integrals trapezoidal (Tustin).
+
+    Feedforward: two first-order Tustin filters of the line force, run as
+    the scalar recurrence of :meth:`DiscreteFilter.step`, ``y = b0 u + z``
+    then ``z = b1 u - a1 y``, and a trapezoidal integral of v. The Dahl
+    estimate, if any, advances by the exact constant-velocity solution of
+    the n = 1 law over each sample, driven by the estimated endpoint
+    displacement; without one it stays 0.
+    """
+    half = 0.5 * dt
+    lo, hi = -math.inf, math.inf
+    if observer is not None:
+        lam, m_n, b_n, k_n = observer.lam, observer.m_n, observer.b_n, observer.k_n
+    i_fp = u_prev = i_x = x_prev = 0.0  # integrals of F_ref + F_p and of x, last inputs
+    if feedforward is not None:
+        b_e, k_e, dahl = feedforward.b_e, feedforward.k_e, feedforward.dahl
+        line = Polynomial([feedforward.b_s, feedforward.k_s])
+        fb0, fb1, fa1 = _first_order(
+            discretize_tustin(RationalTF(Polynomial([b_e, k_e]), line), dt)
+        )
+        vb0, vb1, va1 = _first_order(
+            discretize_tustin(RationalTF(Polynomial([1.0, 0.0]), line), dt)
+        )
+        if dahl is not None:
+            F_c, neg_sigma, exp = dahl.F_c, -dahl.sigma, math.exp
+    z_fp = z_vhat = i_v = v_prev = vhat_prev = fd_hat = 0.0
+
+    def step(F_p, v, x, F_ref):
+        nonlocal i_fp, u_prev, i_x, x_prev, z_fp, z_vhat, i_v, v_prev, vhat_prev, fd_hat
+        if feedforward is not None:
+            i_v += half * (v + v_prev)
+            v_prev = v
+            y_fp = fb0 * F_p + z_fp
+            z_fp = fb1 * F_p - fa1 * y_fp
+            y_vhat = vb0 * F_p + z_vhat
+            z_vhat = vb1 * F_p - va1 * y_vhat
+            linear = b_e * v + k_e * i_v + y_fp
+            vhat = v + y_vhat
+            dx = half * (vhat + vhat_prev)
+            vhat_prev = vhat
+            if dahl is not None and dx != 0.0:
+                s = 1.0 if dx > 0.0 else -1.0
+                fd_hat = s * F_c + (fd_hat - s * F_c) * exp(neg_sigma * abs(dx) / F_c)
+            f_cmp = runtime.last_f_cmp = linear + fd_hat
+            if observer is None:
+                return f_cmp
+            F_ref = F_ref + f_cmp
+        # A NaN fails every comparison, so the bounds also reject it.
+        if not (lo < F_p < hi and lo < v < hi and lo < x < hi and lo < F_ref < hi):
+            raise ValueError("non-finite controller input")
+        u = F_ref + F_p
+        i_fp += half * (u + u_prev)
+        u_prev = u
+        i_x += half * (x + x_prev)
+        x_prev = x
+        return F_ref + lam * (i_fp - m_n * v - b_n * x - k_n * i_x)
+
+    return step
+
+
+class DOBController(_LawController):
     """Integrator-form disturbance observer.
 
     Realizes ``F_a = F_ref + (lambda/s) (F_ref + F_p - P_n^{-1} V)`` with
@@ -241,93 +353,25 @@ class DOBController(NullController):
     """
 
     def __init__(self, cfg: DOBConfig, dt: float):
-        self.cfg = cfg
-        self.dt = dt
-        self._i_fp = 0.0   # integral of F_ref + F_p
-        self._u_prev = 0.0
-        self._i_x = 0.0    # integral of x
-        self._x_prev = 0.0
-
-    def step(self, F_p, v, x, F_ref):
-        if not (
-            math.isfinite(F_p) and math.isfinite(v)
-            and math.isfinite(x) and math.isfinite(F_ref)
-        ):
-            raise ValueError("non-finite controller input")
-        cfg = self.cfg
-        half = 0.5 * self.dt
-        u = F_ref + F_p
-        self._i_fp += half * (u + self._u_prev)
-        self._u_prev = u
-        self._i_x += half * (x + self._x_prev)
-        self._x_prev = x
-        correction = cfg.lam * (
-            self._i_fp - cfg.m_n * v - cfg.b_n * x - cfg.k_n * self._i_x
-        )
-        return F_ref + correction
+        self._law = _force_law(self, dt, observer=cfg)
 
 
 class FeedforwardCompensator:
-    """Streaming realization of the endpoint-friction feedforward.
+    """Streaming realization of the endpoint-friction feedforward: ``step(F_p, v) -> F_cmp``.
 
     Two Tustin filters act on the line force: one producing the endpoint
     velocity estimate, one producing the friction share carried by the line;
     a trapezoidal integrator supplies the k_e/s V term. The optional Dahl
     estimate advances by the exact constant-velocity solution of the n = 1
-    law over each sample, driven by the estimated endpoint displacement.
-
-    Both filters are first order. Their coefficients come from
-    :func:`discretize_tustin` and they run as the scalar recurrence of
-    :meth:`DiscreteFilter.step`, ``y = b0 u + z`` then ``z = b1 u - a1 y``.
+    law over each sample, driven by the estimated endpoint displacement. The
+    law is the feedforward part of :func:`_force_law`.
     """
 
     def __init__(self, cfg: FeedforwardConfig, dt: float):
-        self.cfg = cfg
-        self.dt = dt
-        self._fp_coeffs = _first_order(
-            discretize_tustin(
-                RationalTF(Polynomial([cfg.b_e, cfg.k_e]), Polynomial([cfg.b_s, cfg.k_s])),
-                dt,
-            )
-        )
-        self._vhat_coeffs = _first_order(
-            discretize_tustin(
-                RationalTF(Polynomial([1.0, 0.0]), Polynomial([cfg.b_s, cfg.k_s])), dt
-            )
-        )
-        self._z_fp = 0.0
-        self._z_vhat = 0.0
-        self._i_v = 0.0
-        self._v_prev = 0.0
-        self._vhat_prev = 0.0
-        self._fd_hat = 0.0
-
-    def _advance_dahl(self, dx: float) -> float:
-        dahl = self.cfg.dahl
-        if dahl is None:
-            return 0.0
-        if dx != 0.0:
-            s = 1.0 if dx > 0.0 else -1.0
-            decay = math.exp(-dahl.sigma * abs(dx) / dahl.F_c)
-            self._fd_hat = s * dahl.F_c + (self._fd_hat - s * dahl.F_c) * decay
-        return self._fd_hat
+        self._law = _force_law(self, dt, feedforward=cfg)
 
     def step(self, F_p: float, v: float) -> float:
-        cfg = self.cfg
-        half = 0.5 * self.dt
-        self._i_v += half * (v + self._v_prev)
-        self._v_prev = v
-        b0, b1, a1 = self._fp_coeffs
-        y_fp = b0 * F_p + self._z_fp
-        self._z_fp = b1 * F_p - a1 * y_fp
-        b0, b1, a1 = self._vhat_coeffs
-        y_vhat = b0 * F_p + self._z_vhat
-        self._z_vhat = b1 * F_p - a1 * y_vhat
-        linear = cfg.b_e * v + cfg.k_e * self._i_v + y_fp
-        vhat = v + y_vhat
-        dx = half * (vhat + self._vhat_prev)
-        self._vhat_prev = vhat
-        return linear + self._advance_dahl(dx)
+        return self._law(F_p, v, 0.0, 0.0)
 
 
 def _first_order(f: DiscreteFilter) -> tuple[float, float, float]:
@@ -336,17 +380,17 @@ def _first_order(f: DiscreteFilter) -> tuple[float, float, float]:
     return float(b0), float(b1), float(a1)
 
 
-class CompositeController(NullController):
-    """Feedforward compensation feeding the observer force reference."""
+class CompositeController(_LawController):
+    """Feedforward compensation feeding the observer force reference.
+
+    One step runs the feedforward and then the observer on ``F_ref + F_cmp``,
+    in a single closure of :func:`_force_law`.
+    """
+
+    has_feedforward = True
 
     def __init__(self, cfg: CompositeConfig, dt: float):
-        self.dob = DOBController(cfg.dob, dt)
-        self.feedforward = FeedforwardCompensator(cfg.feedforward, dt)
-
-    def step(self, F_p, v, x, F_ref):
-        f_cmp = self.feedforward.step(F_p, v)
-        self.last_f_cmp = f_cmp
-        return self.dob.step(F_p, v, x, F_ref + f_cmp)
+        self._law = _force_law(self, dt, observer=cfg.dob, feedforward=cfg.feedforward)
 
 
 _RUNTIMES = {

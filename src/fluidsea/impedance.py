@@ -239,8 +239,9 @@ def work_loop(trace: SimTrace, force_column: str = "F_e") -> WorkLoop:
     """Extract the last full cycle of F against x_e from a trace.
 
     Cycles are delimited by upward zero crossings of x_e; at least two full
-    cycles of steady motion must be present. The extracted samples must
-    close on themselves within 1% of the force range.
+    cycles of steady motion must be present. The cycle must close within 1%
+    of its force range: F at its first sample and at the first sample of the
+    next cycle, one period later at the same phase, may differ by no more.
 
     Raises
     ------
@@ -261,9 +262,11 @@ def work_loop(trace: SimTrace, force_column: str = "F_e") -> WorkLoop:
     frange = float(np.max(fs) - np.min(fs))
     if frange <= 0:
         raise WorkLoopError("flat force signal, no loop")
-    if abs(fs[-1] - fs[0]) > 0.01 * frange + 1e-12:
+    # hi = ups[-1] + 1 lies in the record: the last crossing's sample pair does.
+    gap = abs(f[hi] - f[lo])
+    if gap > 0.01 * frange + 1e-12:
         raise WorkLoopError(
-            f"cycle does not close: endpoint force gap {abs(fs[-1] - fs[0]):.3e} "
+            f"cycle does not close: endpoint force gap {gap:.3e} "
             f"exceeds 1% of range {frange:.3e}"
         )
     # close the loop for the area integral

@@ -28,9 +28,15 @@ evaluated at the RK4 stage times. Under a motion source
 and F_e is the measured output. The loop runs in plain Python scalars and
 makes no call per step beyond the controller: the external and reference
 forces are sampled a block of steps at a time, the four RK4 stages are
-straight-line code in the loop body, the sine motion is evaluated there
-from constants hoisted out of it, and each trace column is recorded into
-its own flat float buffer, which the returned trace views without a copy.
+straight-line code in the loop body, and the sine motion is evaluated there
+from constants hoisted out of it. Each step records only the columns it
+computes: x, v, x_e, v_e, F_d and F_a as one packed row of a flat float
+buffer, and F_e under a motion source and F_cmp under a controller with a
+feedforward term each in a buffer of its own. The returned trace views
+these buffers without a copy, so those six columns are strided views of
+one (steps, 6) array. The other columns are built after the loop, bit for
+bit as a step would have recorded them: t, F_p from the state columns,
+F_e and F_ref from the sampled blocks, and F_cmp as zeros.
 
 A linear force-source run (F_c = 0, and no controller or a proportional
 one) skips the loop. RK4 on a linear plant is an exact affine one-step map,
@@ -49,6 +55,7 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
+from struct import Struct
 
 import numpy as np
 
@@ -337,7 +344,7 @@ def _run_linear(model, params, ctrl, fe_fn, fref_fn, steps, dt, s0) -> SimTrace:
         raise SimulationDivergedError(int(np.argmin(ok)))
 
     x, v, x_e, v_e, f_d = S[:, :steps]
-    F_p = params.b_s * (v_e - v) + params.k_s * (x_e - x)
+    F_p = _line_force(params, x, v, x_e, v_e)
     # a stateless controller's step returns 0.0, the held part of F_a
     F_a = 0.0 + ctrl.stage_gain_internal * F_p + ctrl.stage_gain_external * F_e
     return SimTrace(
@@ -385,18 +392,34 @@ def _steps(duration: float, dt: float) -> int:
     return steps
 
 
-def _samples(fn, steps: int, dt: float, shift: float):
+def _samples(fn, steps: int, dt: float, shift: float, out=None):
     """The sampler ``fn`` at i dt + shift for i in range(steps), one block of steps per call.
 
     For t = i dt >= 0, t + 0.0 is t itself, so a zero shift gives the samples at i dt.
+    Each block is also copied into the array ``out``, if given, at its steps.
     """
 
     def blocks():
         for lo in range(0, steps, _SAMPLE_BLOCK):
             t = np.arange(lo, min(steps, lo + _SAMPLE_BLOCK)) * dt
-            yield fn(t + shift).tolist()
+            f = fn(t + shift)
+            if out is not None:
+                out[lo:lo + f.size] = f
+            yield f.tolist()
 
     return chain.from_iterable(blocks())
+
+
+def _line_force(params, x, v, x_e, v_e) -> np.ndarray:
+    """F_p = b_s (v_e - v) + k_s (x_e - x) in the loop's operation order.
+
+    It is taken ``_SAMPLE_BLOCK`` steps at a time, so its temporaries stay small.
+    """
+    F_p = np.empty(x.size)
+    for lo in range(0, x.size, _SAMPLE_BLOCK):
+        hi = lo + _SAMPLE_BLOCK
+        F_p[lo:hi] = params.b_s * (v_e[lo:hi] - v[lo:hi]) + params.k_s * (x_e[lo:hi] - x[lo:hi])
+    return F_p
 
 
 def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
@@ -419,6 +442,14 @@ def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
     integrated when ``forced``. Under a motion source its stage states are
     the sine at t, t + dt/2 and t + dt, and its own rates and update are
     skipped.
+
+    Each step records only what it computes: x, v, x_e, v_e, F_d and F_a,
+    packed as one row by a single ``struct`` call, F_e under a motion
+    source, and F_cmp when the controller has a feedforward term. The other
+    columns are built after the loop, bit for bit as the step would have
+    recorded them: ``t`` as ``i dt``, F_p from the state columns in the
+    step's operation order, F_e under a force source and F_ref from the
+    sampled blocks, and F_cmp as zeros.
     """
     m, b, k = params.m, params.b, params.k
     m_e, b_e, k_e = params.m_e, params.b_e, params.k_e
@@ -430,22 +461,34 @@ def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
 
     x, v, xe, ve, fd = s0.x, s0.v, s0.x_e, s0.v_e, s0.f_d
 
-    # One flat buffer per trace column; SimTrace views them without a copy.
-    buffers = [array("d", [0.0]) * steps for _ in TRACE_COLUMNS]
-    c_t, c_x, c_v, c_xe, c_ve, c_fp, c_fe, c_fa, c_fd, c_cmp, c_ref = buffers
+    # Flat float buffers that SimTrace views without a copy: one row of
+    # (x, v, x_e, v_e, F_d, F_a) per step, packed by one call, and one
+    # buffer per column recorded only by some runs.
+    def buffer(width=1):
+        return array("d", [0.0]) * (width * steps)
+
+    row = Struct("6d")
+    rows, record, row_bytes = buffer(6), row.pack_into, row.size
+    record_cmp = ctrl.has_feedforward
+    c_cmp = buffer() if record_cmp else None
     ctrl_step = ctrl.step
     kf_int = ctrl.stage_gain_internal
     kf_ext = ctrl.stage_gain_external
     h = 0.5 * dt
     w = dt / 6.0
-    limit = _STATE_LIMIT
-    isfinite = math.isfinite
+    # The divergence guard compares: NaN fails every comparison and +-inf the
+    # bounds, as with abs(.) <= limit and isfinite.
+    limit, neg_limit = _STATE_LIMIT, -_STATE_LIMIT
+    inf, neg_inf = math.inf, -math.inf
 
     forced = motion is None
     if forced:
         kf_stage = kf_ext
-        fe0s, fehs, fe1s = (_samples(fe_fn, steps, dt, shift) for shift in (0.0, h, dt))
+        F_e = np.empty(steps)
+        fe0s = _samples(fe_fn, steps, dt, 0.0, F_e)
+        fehs, fe1s = (_samples(fe_fn, steps, dt, shift) for shift in (h, dt))
     else:
+        c_fe = buffer()
         # x_e = a sin(omega t), v_e = (a omega) cos(omega t) and
         # a_e = (-a omega^2) sin(omega t), as SineMotionSpec evaluates them.
         a, omega = motion.amplitude, motion.omega
@@ -456,39 +499,35 @@ def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
         kf_stage = -0.0
         fe0s = fehs = fe1s = repeat(0.0)
 
-    frefs = _samples(fref_fn, steps, dt, 0.0)
+    F_ref = np.empty(steps)
+    frefs = _samples(fref_fn, steps, dt, 0.0, F_ref)
     for i, fref, fe0, feh, fe1 in zip(range(steps), frefs, fe0s, fehs, fe1s):
-        t = i * dt
         if forced:
             fp = b_s * (ve - v) + k_s * (xe - x)
-            fe = fe0
             fa = ctrl_step(fp, v, x, fref)
-            fa_out = fa + kf_int * fp + kf_ext * fe
+            fa1 = fa + kf_int * fp + kf_ext * fe0
         else:
+            t = i * dt
             sin_t = sin(omega * t)
             xe, ve = a * sin_t, a_w * cos(omega * t)
             fp = b_s * (ve - v) + k_s * (xe - x)
             fe = m_e * (a_ww * sin_t) + b_e * ve + k_e * xe + fd + fp
             fa = ctrl_step(fp, v, x, fref) + kf_ext * fe
-            fa_out = fa + kf_int * fp
+            fa1 = fa + kf_int * fp
+            c_fe[i] = fe
             wt = omega * (t + h)
             xe2 = xe3 = a * sin(wt)
             ve2 = ve3 = a_w * cos(wt)
             wt = omega * (t + dt)
             xe4, ve4 = a * sin(wt), a_w * cos(wt)
-        c_t[i] = t
-        c_x[i] = x
-        c_v[i] = v
-        c_xe[i] = xe
-        c_ve[i] = ve
-        c_fp[i] = fp
-        c_fe[i] = fe
-        c_fa[i] = fa_out
-        c_fd[i] = fd
-        c_cmp[i] = ctrl.last_f_cmp
-        c_ref[i] = fref
+        record(rows, i * row_bytes, x, v, xe, ve, fd, fa1)
+        if record_cmp:
+            c_cmp[i] = ctrl.last_f_cmp
 
-        dv1 = (fa + kf_int * fp + kf_stage * fe0 + fp - b * v - k * x) / m
+        # fa1 is stage 1's applied force, fa + kf_int fp + kf_stage fe0, as the
+        # later stages form theirs; a motion source's kf_stage fe0 is -0.0,
+        # which adds nothing.
+        dv1 = (fa1 + fp - b * v - k * x) / m
         if dahl_on and ve != 0.0:
             g = 1.0 - (fd / F_c) * (1.0 if ve > 0.0 else -1.0)
             dfd1 = sigma * ve * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve * g
@@ -554,14 +593,18 @@ def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
                 fd = F_c
             elif fd < -F_c:
                 fd = -F_c
-        # A NaN fails every comparison, so `<=` also rejects non-finite states.
         if not (
-            abs(x) <= limit and abs(v) <= limit and abs(xe) <= limit and abs(ve) <= limit
-            and isfinite(fd)
+            neg_limit <= x <= limit and neg_limit <= v <= limit
+            and neg_limit <= xe <= limit and neg_limit <= ve <= limit
+            and neg_inf < fd < inf
         ):
             raise SimulationDivergedError(i)
 
+    x, v, x_e, v_e, F_d, F_a = np.frombuffer(rows).reshape(steps, 6).T
+    t = np.arange(steps, dtype=float)
+    t *= dt  # i dt, exactly: i is an integer float
     return SimTrace(
-        dt=dt,
-        **{name: np.frombuffer(buf) for name, buf in zip(TRACE_COLUMNS, buffers)},
+        dt=dt, t=t, x=x, v=v, x_e=x_e, v_e=v_e, F_p=_line_force(params, x, v, x_e, v_e),
+        F_e=F_e if forced else np.frombuffer(c_fe), F_a=F_a, F_d=F_d,
+        F_cmp=np.frombuffer(c_cmp) if record_cmp else np.zeros(steps), F_ref=F_ref,
     )

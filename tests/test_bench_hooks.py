@@ -3,7 +3,9 @@
 It wraps ``plant.simulate_backdriven``, ``plant.as_signal``,
 ``controllers.make_controller``, ``lti.DiscreteFilter.step`` and other names,
 so renaming or deleting one of them must fail here, not only in a later
-traced benchmark run. One short benchmark run, untraced and traced, checks
+traced benchmark run. It counts a controller's steps by wrapping ``ctrl.step``
+on each runtime that does not already carry one of its own, so each step of
+a dob, pd and composite run must show in ``controllers.step.calls``. One short benchmark run, untraced and traced, checks
 the whole harness end to end.
 """
 
@@ -28,6 +30,20 @@ m = tracer.metrics()
 steps = m["plant.simulate_backdriven.steps"] + m["plant.simulate.steps"]
 assert steps == n > 0, (steps, n)
 assert m["signals.eval.calls"] > 0
+
+# every controller step is counted: a runtime's step must stay a method of its class
+from fluidsea.controllers import CompositeConfig, DOBConfig, FeedforwardConfig, PDConfig
+g = plant.PlantParams.gripper()
+for kind, cfg in (
+    ("dob", DOBConfig.inertial(g.m)),
+    ("pd", PDConfig(K_p=88.4, K_d=1.768, delay_samples=1)),
+    ("composite", CompositeConfig(DOBConfig.inertial(g.m), FeedforwardConfig.from_params(g))),
+):
+    tracer.reset()
+    n = len(plant.simulate(g, cfg, 0.1, None, duration=0.01))
+    m = tracer.metrics()
+    assert m["controllers.step.calls"] == n == 20, (kind, m["controllers.step.calls"], n)
+    assert m["controllers.step.us_per_call." + kind] > 0, kind
 """
 
 

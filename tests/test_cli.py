@@ -459,6 +459,17 @@ duration = 5
         assert report[0].startswith("external loop: amplitude")
         assert report[1].startswith("internal loop: amplitude")
 
+    @pytest.mark.parametrize("cycles, rc", [(8, 0), (4, 3)])
+    def test_fast_workloop_closes_when_settled(self, tmp_path, capsys, cycles, rc):
+        # 157 samples per period at 80 rad/s: after 7 cycles F recurs to 2e-5 of
+        # its range, after 3 it still drifts by 1.9 %, which the check rejects
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(
+            f"[analysis]\ntype = workloop\nbackdrive_omega = 80\nbackdrive_cycles = {cycles}\n"
+        )
+        assert main(["workloop", str(cfg_path), "--out", str(tmp_path / "wl")]) == rc
+        assert ("cycle does not close" in capsys.readouterr().err) == (rc == 3)
+
     def test_missing_config_file(self, tmp_path):
         rc = main(["simulate", str(tmp_path / "nope.ini")])
         assert rc == 2

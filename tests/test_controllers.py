@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -244,6 +245,87 @@ def test_feedforward_equals_discrete_filter_reference(gripper, include_dahl):
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+def _reference_pd(cfg, samples):
+    """The PD hold with its delay line as a deque, one output per (v, x) sample."""
+    queue = deque([0.0] * cfg.delay_samples)
+    out = []
+    for v, x in samples:
+        queue.append(cfg.K_p * (cfg.x_target - x) - cfg.K_d * v)
+        out.append(queue.popleft())
+    return out
+
+
+def _reference_dob(cfg, dt, samples):
+    """The integrator-form observer, trapezoidal integrals, per (F_p, v, x, F_ref) sample."""
+    half = 0.5 * dt
+    i_fp = u_prev = i_x = x_prev = 0.0
+    out = []
+    for F_p, v, x, F_ref in samples:
+        u = F_ref + F_p
+        i_fp += half * (u + u_prev)
+        u_prev = u
+        i_x += half * (x + x_prev)
+        x_prev = x
+        out.append(F_ref + cfg.lam * (i_fp - cfg.m_n * v - cfg.b_n * x - cfg.k_n * i_x))
+    return out
+
+
+def _random_samples(seed, n=5_000):
+    """(F_p, v, x, F_ref) samples with a stretch of rest, as Python floats."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.uniform(-1.0, 1.0, n), rng.uniform(-0.5, 0.5, n),
+            rng.uniform(-0.1, 0.1, n), rng.uniform(-0.2, 0.2, n)]
+    samples = list(zip(*(c.tolist() for c in cols)))
+    samples[100:200] = [(0.0, 0.0, 0.0, 0.0)] * 100
+    return samples
+
+
+def _bytes(values):
+    return np.array(values).tobytes()
+
+
+@pytest.mark.parametrize("delay", [0, 1, 2, 3])
+def test_pd_equals_reference(delay):
+    cfg = PDConfig(K_p=88.4, K_d=1.768, x_target=0.01, delay_samples=delay)
+    samples = _random_samples(delay)
+    ctrl = make_controller(cfg, DT)
+    got = [ctrl.step(*s) for s in samples]
+    assert _bytes(got) == _bytes(_reference_pd(cfg, [(v, x) for _, v, x, _ in samples]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_dob_equals_reference(gripper, seed):
+    rng = np.random.default_rng(seed)
+    cfg = DOBConfig(
+        lam=rng.uniform(1.0, 200.0), m_n=rng.uniform(0.1, 3.0) * gripper.m,
+        b_n=rng.uniform(0.0, 2.0) * gripper.b, k_n=rng.uniform(0.0, 1.0) * gripper.k,
+    )
+    samples = _random_samples(seed)
+    ctrl = make_controller(cfg, DT)
+    got = [ctrl.step(*s) for s in samples]
+    assert _bytes(got) == _bytes(_reference_dob(cfg, DT, samples))
+
+
+@pytest.mark.parametrize("include_dahl", [True, False])
+def test_composite_equals_reference(gripper, include_dahl):
+    cfg = CompositeConfig(
+        DOBConfig(lam=125.0, m_n=gripper.m, b_n=0.5 * gripper.b, k_n=0.01),
+        FeedforwardConfig.from_params(gripper, include_dahl=include_dahl),
+    )
+    samples = _random_samples(7)
+    f_cmp = _reference_feedforward(cfg.feedforward, DT, [(F_p, v) for F_p, v, _, _ in samples])
+    want = _reference_dob(
+        cfg.dob, DT, [(F_p, v, x, F_ref + c) for (F_p, v, x, F_ref), c in zip(samples, f_cmp)]
+    )
+    ctrl = make_controller(cfg, DT)
+    got, got_cmp = [], []
+    for s in samples:
+        got.append(ctrl.step(*s))
+        got_cmp.append(ctrl.last_f_cmp)
+    assert _bytes(got_cmp) == _bytes(f_cmp)
+    assert _bytes(got) == _bytes(want)
+
+
 class TestComposite:
     def test_zero_compensation_reduces_to_plain_dob(self, gripper):
         dob_cfg = DOBConfig.inertial(gripper.m, 20.0)
@@ -255,6 +337,18 @@ class TestComposite:
             fp, v, x = rng.uniform(-0.1, 0.1, size=3)
             assert comp.step(fp, v, x, 0.0) == dob.step(fp, v, x, 0.0)
         assert comp.last_f_cmp == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_input_rejected(self, gripper, slot, bad):
+        # as the observer alone rejects them
+        cfg = CompositeConfig(DOBConfig.inertial(gripper.m, 20.0), FeedforwardConfig.from_params(gripper))
+        for ctrl in (make_controller(cfg, DT), make_controller(cfg.dob, DT)):
+            ctrl.step(0.01, 0.02, 0.003, 0.0)
+            args = [0.01, 0.02, 0.003, 0.0]
+            args[slot] = bad
+            with pytest.raises(ValueError, match="non-finite controller input"):
+                ctrl.step(*args)
 
 
 def test_make_controller_rejects_runtime_controller():

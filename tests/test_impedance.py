@@ -262,6 +262,24 @@ class TestWorkLoop:
         with pytest.raises(WorkLoopError):
             work_loop(make_trace(t, x, 0.2 * x))
 
+    def test_closure_compares_same_phase(self):
+        # 157 samples per period, F steep where x_e crosses zero: the samples
+        # either side of a crossing differ by 1.9 % of the range in F, yet
+        # the loop is periodic
+        n = 157
+        t = np.arange(4 * n) * DT
+        w = 2 * math.pi / (n * DT)
+        loop = work_loop(make_trace(t, 0.5 * np.sin(w * t), np.sin(w * t) + 0.3 * np.cos(w * t)))
+        assert loop.x_e.size == n
+
+    def test_closure_fails_on_a_drifting_loop(self):
+        n = 157
+        t = np.arange(4 * n) * DT
+        w = 2 * math.pi / (n * DT)
+        drift = 0.2 * t / t[-1]  # about 2.5 % of the range per cycle
+        with pytest.raises(WorkLoopError, match="does not close"):
+            work_loop(make_trace(t, 0.5 * np.sin(w * t), np.cos(w * t) + drift))
+
     def test_force_column_validation(self, gripper):
         with pytest.raises(ValueError):
             work_loop(make_trace(np.arange(3) * DT, np.zeros(3), np.zeros(3)), "F_x")

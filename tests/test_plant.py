@@ -585,14 +585,27 @@ class TestSimulate:
             want_h = 1.0 / (1j * w * want)
             assert abs(h - want_h) / abs(want_h) < 0.02
 
-    def test_divergence_reports_step_index(self, gripper_linear):
+    def test_divergence_reports_step_index(self, gripper):
+        # the stiff delayed PD blows up at the same step with or without hysteresis
         cfg = PDConfig(K_p=2e5, K_d=4e3, delay_samples=1)
+        for params in (gripper.without_hysteresis(), gripper):
+            with pytest.raises(SimulationDivergedError) as err:
+                simulate(
+                    params, cfg, SineSpec(0.5, 5.0), None, duration=5.0, dt=DT,
+                    initial_state=PlantState(x=1e-3),
+                )
+            assert err.value.step_index == 6
+
+    @pytest.mark.parametrize("step", [0, 1, 37, 2047, 2048, 3000])
+    def test_non_finite_force_reports_its_step(self, gripper, step):
+        # NaN from the midpoint stage of `step` on: the steps before it read
+        # finite forces only (their last stage is at step * DT at the latest)
+        def f_ext(t):
+            return math.nan if t > (step + 0.25) * DT else 0.05 * math.sin(3.0 * t)
+
         with pytest.raises(SimulationDivergedError) as err:
-            simulate(
-                gripper_linear, cfg, SineSpec(0.5, 5.0), None, duration=5.0, dt=DT,
-                initial_state=PlantState(x=1e-3),
-            )
-        assert err.value.step_index >= 0
+            simulate(gripper, None, f_ext, None, duration=2.0, dt=DT)
+        assert err.value.step_index == step
 
 
 class TestBackdriven:
