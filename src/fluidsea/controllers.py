@@ -11,8 +11,8 @@ feedback acts through the stage gains the simulator applies.
 A runtime with state (observer, PD, composite) keeps it in a closure, its
 control law, and its ``step`` is that closure, so one controller step is
 one call. The observer and feedforward laws are written once, in
-:func:`_force_law`, which the observer, the feedforward compensator and the
-composite all build from; the PD law is :func:`_pd_law`.
+:func:`_force_law`, which the observer and the composite build from; the PD
+law is :func:`_pd_law`.
 
 Controller catalogue
 --------------------
@@ -45,7 +45,6 @@ __all__ = [
     "DOBConfig",
     "DOBController",
     "DahlEstimate",
-    "FeedforwardCompensator",
     "FeedforwardConfig",
     "PDConfig",
     "PDController",
@@ -272,16 +271,15 @@ class PDController(_LawController):
         self._law = _pd_law(cfg)
 
 
-def _force_law(runtime, dt: float, observer: DOBConfig | None = None,
+def _force_law(runtime, dt: float, observer: DOBConfig,
                feedforward: FeedforwardConfig | None = None):
-    """The observer law, the feedforward law or both, as one ``step(F_p, v, x, F_ref)``.
+    """The observer law, after the feedforward law if given: one ``step(F_p, v, x, F_ref)``.
 
     This is the one place where the two laws are written. The feedforward,
     if given, runs first: its force F_cmp is stored as ``runtime.last_f_cmp``
-    and returned when there is no observer, and otherwise added to F_ref.
-    The observer, if given, then runs on that reference and returns F_a; it
-    rejects a non-finite input with ``ValueError``. Both keep their state in
-    the closure.
+    and added to F_ref. It reads only F_p and v. The observer then runs on
+    that reference and returns F_a; it rejects a non-finite input with
+    ``ValueError``. Both keep their state in the closure.
 
     Observer: ``F_a = F_ref + lambda (Int (F_ref + F_p) - m_n v - b_n x - k_n Int x)``,
     both integrals trapezoidal (Tustin).
@@ -295,8 +293,7 @@ def _force_law(runtime, dt: float, observer: DOBConfig | None = None,
     """
     half = 0.5 * dt
     lo, hi = -math.inf, math.inf
-    if observer is not None:
-        lam, m_n, b_n, k_n = observer.lam, observer.m_n, observer.b_n, observer.k_n
+    lam, m_n, b_n, k_n = observer.lam, observer.m_n, observer.b_n, observer.k_n
     i_fp = u_prev = i_x = x_prev = 0.0  # integrals of F_ref + F_p and of x, last inputs
     if feedforward is not None:
         b_e, k_e, dahl = feedforward.b_e, feedforward.k_e, feedforward.dahl
@@ -328,8 +325,6 @@ def _force_law(runtime, dt: float, observer: DOBConfig | None = None,
                 s = 1.0 if dx > 0.0 else -1.0
                 fd_hat = s * F_c + (fd_hat - s * F_c) * exp(neg_sigma * abs(dx) / F_c)
             f_cmp = runtime.last_f_cmp = linear + fd_hat
-            if observer is None:
-                return f_cmp
             F_ref = F_ref + f_cmp
         # A NaN fails every comparison, so the bounds also reject it.
         if not (lo < F_p < hi and lo < v < hi and lo < x < hi and lo < F_ref < hi):
@@ -353,25 +348,7 @@ class DOBController(_LawController):
     """
 
     def __init__(self, cfg: DOBConfig, dt: float):
-        self._law = _force_law(self, dt, observer=cfg)
-
-
-class FeedforwardCompensator:
-    """Streaming realization of the endpoint-friction feedforward: ``step(F_p, v) -> F_cmp``.
-
-    Two Tustin filters act on the line force: one producing the endpoint
-    velocity estimate, one producing the friction share carried by the line;
-    a trapezoidal integrator supplies the k_e/s V term. The optional Dahl
-    estimate advances by the exact constant-velocity solution of the n = 1
-    law over each sample, driven by the estimated endpoint displacement. The
-    law is the feedforward part of :func:`_force_law`.
-    """
-
-    def __init__(self, cfg: FeedforwardConfig, dt: float):
-        self._law = _force_law(self, dt, feedforward=cfg)
-
-    def step(self, F_p: float, v: float) -> float:
-        return self._law(F_p, v, 0.0, 0.0)
+        self._law = _force_law(self, dt, cfg)
 
 
 def _first_order(f: DiscreteFilter) -> tuple[float, float, float]:
@@ -390,7 +367,7 @@ class CompositeController(_LawController):
     has_feedforward = True
 
     def __init__(self, cfg: CompositeConfig, dt: float):
-        self._law = _force_law(self, dt, observer=cfg.dob, feedforward=cfg.feedforward)
+        self._law = _force_law(self, dt, cfg.dob, cfg.feedforward)
 
 
 _RUNTIMES = {

@@ -86,9 +86,9 @@ def snap_grid(grid: FrequencyGrid, dt: float) -> np.ndarray:
     return omegas
 
 
-def _phasor(sig: np.ndarray, t: np.ndarray, omega: float) -> complex:
-    """Fundamental phasor over an integer number of periods of ``omega``."""
-    e = np.exp(-1j * omega * t)
+def _phasor(sig: np.ndarray, e: np.ndarray) -> complex:
+    """Fundamental phasor over an integer number of periods, given
+    ``e = exp(-j omega t)`` over the same samples."""
     return 2.0 * np.dot(sig, e) / sig.size
 
 
@@ -165,14 +165,16 @@ def measure_impedance(
                 break
             first = slice(settle * n_per, (settle + 1) * n_per)
             last = slice((settle + 1) * n_per, (settle + 2) * n_per)
+            e_first = np.exp(-1j * w * trace.t[first])  # shared by every port
+            e_last = np.exp(-1j * w * trace.t[last])
             for j in list(pending):
                 f_name, v_name = _PORT_SIGNALS[ports[j]]
                 f_sig, v_sig = trace.column(f_name), trace.column(v_name)
-                a_first = abs(_phasor(v_sig[first], trace.t[first], w))
-                pv = _phasor(v_sig[last], trace.t[last], w)
+                a_first = abs(_phasor(v_sig[first], e_first))
+                pv = _phasor(v_sig[last], e_last)
                 drift[j] = abs(abs(pv) - a_first) / abs(pv) if abs(pv) > 0 else math.inf
                 if drift[j] <= _DRIFT_TOL:
-                    H[j][i] = _phasor(f_sig[last], trace.t[last], w) / pv
+                    H[j][i] = _phasor(f_sig[last], e_last) / pv
                     pending.remove(j)
             if not pending:
                 break

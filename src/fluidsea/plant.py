@@ -116,15 +116,14 @@ class PlantParams:
     n_dahl: float = 1.0
 
     def __post_init__(self):
-        if self.m <= 0 or self.m_e <= 0:
-            raise ValueError("inertias m, m_e must be > 0")
-        if self.k_s <= 0:
-            raise ValueError("line stiffness k_s must be > 0")
+        for name in ("m", "m_e", "k_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name):.6g}")
         for name in ("b", "b_e", "b_s", "k", "k_e", "F_c", "sigma"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name):.6g}")
         if self.n_dahl <= 0:
-            raise ValueError("n_dahl must be > 0")
+            raise ValueError(f"n_dahl must be > 0, got {self.n_dahl:.6g}")
 
     @classmethod
     def gripper(cls) -> "PlantParams":

@@ -8,9 +8,9 @@ frequency-response functions with 1-sigma bands by the Blackman-Tukey method
 sub-plant responses directly for the lumped parameters.
 
 Defaults declared here rather than inherited from any experiment: Hann lag
-window with maximum lag one eighth of the record, chirp records of 600 s at
-dt = 1/2000 s, evaluation grid log-spaced 0.01 Hz to 1000 Hz at 60 points
-per decade.
+window with maximum lag one eighth of the record, dt = 1/2000 s, evaluation
+grid log-spaced 0.01 Hz to 1000 Hz at 60 points per decade. The chirp is
+the caller's: :func:`run_sysid` takes it without a default.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ import numpy as np
 
 from .csvio import write_csv
 from .lti import FrequencyGrid, Polynomial, RationalTF
-from .plant import DEFAULT_DT, PlantParams, SimTrace, simulate
+from .plant import DEFAULT_DT, PlantParams, simulate
 from .signals import ChirpSpec
 
 __all__ = [
-    "ChirpSpec",
     "FrequencyResponse",
     "SubPlantFit",
     "SysIdResult",
@@ -370,7 +369,15 @@ class SysIdExtraction:
         return "\n".join(lines)
 
 
-def _weighted_lstsq(A: np.ndarray, rhs: np.ndarray, wts: np.ndarray):
+def _subplant_fit(frf: FrequencyResponse, design) -> SubPlantFit:
+    """Weighted least squares of one sub-plant on the valid points in ``_EXTRACT_BAND``.
+
+    ``design(s, H)`` gives (A, rhs, scale): theta minimizes sum w^2 |A theta - rhs|^2,
+    w the inverse floored sigma, and the weighted RMS residual is divided by scale.
+    """
+    sel = frf.valid & (frf.omegas >= _EXTRACT_BAND[0]) & (frf.omegas <= _EXTRACT_BAND[1])
+    A, rhs, scale = design(1j * frf.omegas[sel], frf.H[sel])
+    wts = 1.0 / _floored_sigma(frf, sel)
     Aw = A * wts[:, None]
     rw = rhs * wts
     theta, _, rank, _ = np.linalg.lstsq(
@@ -378,41 +385,19 @@ def _weighted_lstsq(A: np.ndarray, rhs: np.ndarray, wts: np.ndarray):
     )
     if rank < A.shape[1]:
         raise FitError("rank-deficient sub-plant fit")
-    fit = A @ theta
-    resid = float(
-        np.sqrt(np.sum((wts * np.abs(fit - rhs)) ** 2) / np.sum(wts**2))
-    )
-    return theta, resid
-
-
-def _second_order_inverse_fit(frf: FrequencyResponse) -> SubPlantFit:
-    """Fit H ~ 1/(m s^2 + b s + k) via the relative equation error.
-
-    Minimizes sum w |(m s^2 + b s + k) H - 1|^2, which is linear in the
-    parameters and exact for noiseless data.
-    """
-    sel = frf.valid & (frf.omegas >= _EXTRACT_BAND[0]) & (frf.omegas <= _EXTRACT_BAND[1])
-    w = frf.omegas[sel]
-    H = frf.H[sel]
-    s = 1j * w
-    A = np.column_stack([H * s**2, H * s, H])
-    wts = 1.0 / _floored_sigma(frf, sel)
-    theta, resid = _weighted_lstsq(A, np.ones_like(H), wts)
-    return SubPlantFit(coeffs=theta, residual=resid)
-
-
-def _line_fit(frf: FrequencyResponse) -> SubPlantFit:
-    """Fit H ~ b_s s + k_s directly (linear in both parameters)."""
-    sel = frf.valid & (frf.omegas >= _EXTRACT_BAND[0]) & (frf.omegas <= _EXTRACT_BAND[1])
-    w = frf.omegas[sel]
-    H = frf.H[sel]
-    A = np.column_stack([1j * w, np.ones_like(H)])
-    wts = 1.0 / _floored_sigma(frf, sel)
-    theta, resid = _weighted_lstsq(A, H, wts)
-    # Normalize the residual by the response scale so thresholds are
-    # comparable with the inverse fits.
-    scale = float(np.median(np.abs(H))) or 1.0
+    resid = float(np.sqrt(np.sum((wts * np.abs(A @ theta - rhs)) ** 2) / np.sum(wts**2)))
     return SubPlantFit(coeffs=theta, residual=resid / scale)
+
+
+def _second_order_inverse(s, H):
+    """H ~ 1/(m s^2 + b s + k) by the relative equation error (m s^2 + b s + k) H - 1,
+    linear in the parameters and exact for noiseless data."""
+    return np.column_stack([H * s**2, H * s, H]), np.ones_like(H), 1.0
+
+
+def _line(s, H):
+    """H ~ b_s s + k_s, its residual relative to the response scale like the inverse fits'."""
+    return np.column_stack([s, np.ones_like(H)]), H, float(np.median(np.abs(H))) or 1.0
 
 
 def extract_params(
@@ -429,18 +414,22 @@ def extract_params(
     All three fits are frequency-weighted linear least squares restricted to
     ``_EXTRACT_BAND`` = 0.1-400 rad/s; a sub-fit whose relative residual
     exceeds ``_RESIDUAL_THRESHOLD`` = 0.05 flags the parameter set
-    (nonlinearity or a poor record), without blocking the return.
+    (nonlinearity or a poor record), without blocking the return. A
+    rank-deficient sub-fit, or a fitted parameter outside the domain of
+    :class:`PlantParams`, raises :class:`FitError` naming the parameter and
+    its value.
     """
-    mf = _second_order_inverse_fit(motor)
-    ff = _second_order_inverse_fit(finger)
-    lf = _line_fit(line)
+    mf = _subplant_fit(motor, _second_order_inverse)
+    ff = _subplant_fit(finger, _second_order_inverse)
+    lf = _subplant_fit(line, _line)
     m, b, k = (float(v) for v in mf.coeffs)
     m_e, b_e, k_e = (float(v) for v in ff.coeffs)
     b_s, k_s = (float(v) for v in lf.coeffs)
     flagged = max(mf.residual, ff.residual, lf.residual) > _RESIDUAL_THRESHOLD
-    params = PlantParams(
-        m=m, b=b, k=k, m_e=m_e, b_e=b_e, k_e=k_e, b_s=b_s, k_s=k_s
-    )
+    try:
+        params = PlantParams(m=m, b=b, k=k, m_e=m_e, b_e=b_e, k_e=k_e, b_s=b_s, k_s=k_s)
+    except ValueError as exc:
+        raise FitError(f"sub-plant fits give no valid plant: {exc}") from exc
     return SysIdExtraction(params=params, motor=mf, finger=ff, line=lf, flagged=flagged)
 
 
@@ -451,7 +440,6 @@ def extract_params(
 
 @dataclass
 class SysIdResult:
-    trace: SimTrace
     motor_frf: FrequencyResponse
     finger_frf: FrequencyResponse
     line_frf: FrequencyResponse
@@ -463,12 +451,12 @@ class SysIdResult:
 
 def run_sysid(
     params: PlantParams,
-    spec: ChirpSpec | None = None,
+    spec: ChirpSpec,
     dt: float = DEFAULT_DT,
     noise_std: float = 0.0,
     rng=None,
 ) -> SysIdResult:
-    """Chirp-excited identification of the simulated plant.
+    """Identification of the simulated plant under the chirp ``spec``.
 
     Runs the passive chirp experiment, estimates the three sub-plant
     responses and the whole endpoint response, extracts the lumped
@@ -479,8 +467,6 @@ def run_sysid(
     The chirp is not checked against the sampling rate here: the caller
     does that, with :meth:`ChirpSpec.validate_sampling`.
     """
-    if spec is None:
-        spec = ChirpSpec(amplitude=0.3, f0=0.01, f1=1000.0, duration=600.0)
     grid = default_grid()
     trace = simulate(params, None, spec, None, duration=spec.duration, dt=dt)
 
@@ -505,7 +491,6 @@ def run_sysid(
     extraction = extract_params(motor_frf, finger_frf, line_frf)
     whole_fit, whole_report = fit_tf(endpoint_frf)
     return SysIdResult(
-        trace=trace,
         motor_frf=motor_frf,
         finger_frf=finger_frf,
         line_frf=line_frf,

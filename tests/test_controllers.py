@@ -9,7 +9,6 @@ from fluidsea.controllers import (
     CompositeConfig,
     DOBConfig,
     DahlEstimate,
-    FeedforwardCompensator,
     FeedforwardConfig,
     PDConfig,
     ProportionalFFConfig,
@@ -168,21 +167,36 @@ class TestDOB:
             assert np.max(np.abs(tr.F_a)) < 50.0
 
 
+def _feedforward(cfg):
+    """``step(F_p, v) -> F_cmp`` of the feedforward ``cfg``, read off a composite runtime.
+
+    The composite runs the feedforward first, on F_p and v alone, and
+    records its force as ``last_f_cmp`` before the observer runs.
+    """
+    ctrl = make_controller(CompositeConfig(DOBConfig(), cfg), DT)
+
+    def step(F_p, v):
+        ctrl.step(F_p, v, 0.0, 0.0)
+        return ctrl.last_f_cmp
+
+    return step
+
+
 class TestFeedforward:
     def test_rest_gives_zero(self, gripper):
-        ff = FeedforwardCompensator(FeedforwardConfig.from_params(gripper), DT)
+        step = _feedforward(FeedforwardConfig.from_params(gripper))
         for _ in range(100):
-            out = ff.step(0.0, 0.0)
+            out = step(0.0, 0.0)
         assert out == 0.0
 
     def test_static_deflection_converges_to_endpoint_spring_force(self, gripper):
         # motor clamped, constant line force F_p = k_s x_e: the compensation
         # settles to k_e x_e (DC gain of the line-force branch is k_e / k_s)
         p = gripper
-        ff = FeedforwardCompensator(FeedforwardConfig.from_params(p, include_dahl=False), DT)
+        step = _feedforward(FeedforwardConfig.from_params(p, include_dahl=False))
         x_e = 0.1
         for _ in range(int(2.0 / DT)):
-            out = ff.step(p.k_s * x_e, 0.0)
+            out = step(p.k_s * x_e, 0.0)
         assert out == pytest.approx(p.k_e * x_e, rel=1e-6)
 
     def test_config_validation(self):
@@ -198,11 +212,11 @@ class TestFeedforward:
             b_e=0.0, k_e=0.0, b_s=1e-9, k_s=13.0782,
             dahl=DahlEstimate(F_c=0.032, sigma=12.8),
         )
-        ff = FeedforwardCompensator(cfg, DT)
+        step = _feedforward(cfg)
         v = 1.0
         n = int(round(0.0025 / (v * DT)))  # travel F_c / sigma
         for _ in range(n):
-            out = ff.step(0.0, v)
+            out = step(0.0, v)
         want = 0.032 * (1.0 - math.exp(-12.8 * (n * v * DT - 0.5 * v * DT) / 0.032))
         # half-sample offset from the trapezoidal displacement update
         assert out == pytest.approx(want, rel=1e-3)
@@ -240,8 +254,8 @@ def test_feedforward_equals_discrete_filter_reference(gripper, include_dahl):
                        rng.uniform(-0.5, 0.5, 10_000).tolist()))
     samples[100:200] = [(0.0, 0.0)] * 100  # rests, where the Dahl estimate holds
     want = _reference_feedforward(cfg, DT, samples)
-    ff = FeedforwardCompensator(cfg, DT)
-    got = [ff.step(F_p, v) for F_p, v in samples]
+    step = _feedforward(cfg)
+    got = [step(F_p, v) for F_p, v in samples]
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 

@@ -245,25 +245,38 @@ class TestFitTf:
         assert nl.whole_report.residual > lin.whole_report.residual
 
 
+def _analytic_sub_responses(m, b, k, m_e, b_e, k_e, b_s, k_s):
+    """Noiseless motor, finger and line responses of the given coefficients."""
+    grid = FrequencyGrid.log_spaced(0.1, 390.0, 80)
+    return (
+        FrequencyResponse.from_tf(RationalTF(Polynomial([1.0]), Polynomial([m, b, k])), grid),
+        FrequencyResponse.from_tf(
+            RationalTF(Polynomial([1.0]), Polynomial([m_e, b_e, k_e])), grid
+        ),
+        FrequencyResponse.from_tf(RationalTF(Polynomial([b_s, k_s]), Polynomial([1.0])), grid),
+    )
+
+
 class TestExtractParams:
     def test_exact_analytic_sub_responses(self, gripper_linear):
         p = gripper_linear
-        grid = FrequencyGrid.log_spaced(0.1, 390.0, 80)
-        motor = FrequencyResponse.from_tf(
-            RationalTF(Polynomial([1.0]), Polynomial([p.m, p.b, p.k])), grid
-        )
-        finger = FrequencyResponse.from_tf(
-            RationalTF(Polynomial([1.0]), Polynomial([p.m_e, p.b_e, p.k_e])), grid
-        )
-        line = FrequencyResponse.from_tf(
-            RationalTF(Polynomial([p.b_s, p.k_s]), Polynomial([1.0])), grid
-        )
-        ext = extract_params(motor, finger, line)
+        ext = extract_params(*_analytic_sub_responses(
+            p.m, p.b, p.k, p.m_e, p.b_e, p.k_e, p.b_s, p.k_s
+        ))
         for name in ("m", "b", "k", "m_e", "b_e", "k_e", "b_s", "k_s"):
             assert getattr(ext.params, name) == pytest.approx(
                 getattr(p, name), rel=1e-9
             ), name
         assert not ext.flagged
+
+    @pytest.mark.parametrize("name", ["k", "k_e"])
+    def test_fit_outside_plant_domain_raises_fit_error(self, gripper_linear, name):
+        # a stiffness fitted below zero is a failed fit, not a bad argument
+        coeffs = {n: getattr(gripper_linear, n)
+                  for n in ("m", "b", "k", "m_e", "b_e", "k_e", "b_s", "k_s")}
+        coeffs[name] = -0.01
+        with pytest.raises(FitError, match=rf"\b{name} must be >= 0, got -0\.01$"):
+            extract_params(*_analytic_sub_responses(**coeffs))
 
     def test_roundtrip_on_simulated_record(self, gripper_linear):
         p = gripper_linear
