@@ -33,6 +33,7 @@ from .experiments import (
     run_preset,
 )
 from .impedance import DahlFitError, PDSweepError, WorkLoopError
+from .lti import RootSolveError
 from .plant import SimulationDivergedError
 from .sysid import FitError
 
@@ -94,7 +95,8 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationDivergedError, FitError, WorkLoopError, DahlFitError, PDSweepError) as exc:
+    except (SimulationDivergedError, FitError, WorkLoopError, DahlFitError, PDSweepError,
+            RootSolveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -12,7 +12,8 @@ A runtime with state (observer, PD, composite) keeps it in a closure, its
 control law, and its ``step`` is that closure, so one controller step is
 one call. The observer and feedforward laws are written once, in
 :func:`_force_law`, which the observer and the composite build from; the PD
-law is :func:`_pd_law`.
+law is :func:`_pd_law`. Each also returns the getter ``state()`` and setter
+``set_state(values)`` of the law's linear state. A runtime without state gives ``[]``.
 
 Controller catalogue
 --------------------
@@ -205,6 +206,12 @@ class NullController:
     def step(self, F_p: float, v: float, x: float, F_ref: float) -> float:
         return 0.0
 
+    def state(self) -> list:
+        return []
+
+    def set_state(self, values) -> None:
+        pass
+
 
 class ProportionalFFController(NullController):
     """Analog proportional force feedback.
@@ -236,7 +243,7 @@ class _LawStep:
 
 
 class _LawController(NullController):
-    """A runtime controller whose law, ``_law``, is a closure built in ``__init__``."""
+    """A runtime controller whose law, ``_law``, and state accessors are closures."""
 
     step = _LawStep()
 
@@ -244,7 +251,8 @@ class _LawController(NullController):
 def _pd_law(cfg: PDConfig):
     """PD hold ``step(F_p, v, x, F_ref)``, delayed by ``cfg.delay_samples`` whole samples.
 
-    The delayed values wait in a ring of that many slots, which starts at 0.
+    The delayed values wait in a ring of that many slots, which starts at 0;
+    the state lists them from the next value out to the last one in.
     """
     K_p, K_d, x_target, delay = cfg.K_p, cfg.K_d, cfg.x_target, cfg.delay_samples
     held = [0.0] * delay
@@ -261,14 +269,21 @@ def _pd_law(cfg: PDConfig):
             slot = 0
         return u
 
-    return step
+    def get():
+        return held[slot:] + held[:slot]
+
+    def set_(values):
+        nonlocal slot
+        held[:], slot = values, 0
+
+    return step, get, set_
 
 
 class PDController(_LawController):
     """PD hold F_a = K_p (x_target - x) - K_d v, delayed by whole samples."""
 
     def __init__(self, cfg: PDConfig, dt: float):
-        self._law = _pd_law(cfg)
+        self._law, self.state, self.set_state = _pd_law(cfg)
 
 
 def _force_law(runtime, dt: float, observer: DOBConfig,
@@ -290,6 +305,9 @@ def _force_law(runtime, dt: float, observer: DOBConfig,
     estimate, if any, advances by the exact constant-velocity solution of
     the n = 1 law over each sample, driven by the estimated endpoint
     displacement; without one it stays 0.
+
+    Its state: i_fp, u_prev, i_x, x_prev, then the feedforward's z_fp, z_vhat, i_v, v_prev,
+    vhat_prev. The Dahl estimate is not linear and not in it.
     """
     half = 0.5 * dt
     lo, hi = -math.inf, math.inf
@@ -336,7 +354,17 @@ def _force_law(runtime, dt: float, observer: DOBConfig,
         x_prev = x
         return F_ref + lam * (i_fp - m_n * v - b_n * x - k_n * i_x)
 
-    return step
+    def get():
+        cells = [i_fp, u_prev, i_x, x_prev, z_fp, z_vhat, i_v, v_prev, vhat_prev]
+        return cells if feedforward is not None else cells[:4]
+
+    def set_(values):
+        nonlocal i_fp, u_prev, i_x, x_prev, z_fp, z_vhat, i_v, v_prev, vhat_prev
+        i_fp, u_prev, i_x, x_prev, *rest = values
+        if feedforward is not None:
+            z_fp, z_vhat, i_v, v_prev, vhat_prev = rest
+
+    return step, get, set_
 
 
 class DOBController(_LawController):
@@ -348,7 +376,7 @@ class DOBController(_LawController):
     """
 
     def __init__(self, cfg: DOBConfig, dt: float):
-        self._law = _force_law(self, dt, cfg)
+        self._law, self.state, self.set_state = _force_law(self, dt, cfg)
 
 
 def _first_order(f: DiscreteFilter) -> tuple[float, float, float]:
@@ -367,7 +395,7 @@ class CompositeController(_LawController):
     has_feedforward = True
 
     def __init__(self, cfg: CompositeConfig, dt: float):
-        self._law = _force_law(self, dt, cfg.dob, cfg.feedforward)
+        self._law, self.state, self.set_state = _force_law(self, dt, cfg.dob, cfg.feedforward)
 
 
 _RUNTIMES = {

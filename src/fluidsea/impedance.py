@@ -511,26 +511,22 @@ def max_stable_pd(params: PlantParams, dt: float = DEFAULT_DT) -> PDConfig:
     sample computation delay. A gain is stable when every eigenvalue of the
     sampled closed loop of the linearized plant (hysteresis disabled, so the
     bound does not depend on amplitude) lies inside the unit circle. That map
-    is probed from the loop: the RK4 map of :func:`~fluidsea.plant.linear_model`
-    over (x, v, x_e, v_e), the state after one step under a held unit actuator
-    force, and the delay line. K_p doubles from ``_PD_KP_START`` = 1 Nm/rad to
-    an unstable gain, the boundary is bisected geometrically to a relative
-    width of ``_PD_REL_WIDTH`` = 1e-12, and the stable end is multiplied by
-    ``_PD_BACKOFF`` = 0.8 for margin in long excited runs. Raises
-    ``PDSweepError`` if the start gain is unstable or 40 doublings find no bound.
+    is :func:`~fluidsea.plant.linear_model`'s under the PD configuration, on
+    (x, v, x_e, v_e) and the delay line. K_p doubles from ``_PD_KP_START`` = 1
+    Nm/rad to an unstable gain, the boundary is bisected geometrically to a
+    relative width of ``_PD_REL_WIDTH`` = 1e-12, and the stable end is
+    multiplied by ``_PD_BACKOFF`` = 0.8 for margin in long excited runs.
+    Raises ``PDSweepError`` if the start gain is unstable or 40 doublings find
+    no bound, and ``ValueError`` for a dt outside (0, 1e-2] s.
     """
     p = params.without_hysteresis()
-    # Rows: the plant state (x, v, x_e, v_e), then the delay line from oldest to newest.
-    phi_cl = np.eye(4 + _PD_DELAY_SAMPLES, k=1)
-    # f_d is dropped: at F_c = 0 it is a constant, not a mode, and would pin rho at 1.
-    phi_cl[:4, :4] = linear_model(p, None, dt)[0][:4, :4]
-    # PD with K_p = 1, K_d = 0 and x_target = 1 holds F_a = 1 over step 0 from rest.
-    hold = PDConfig(K_p=1.0, K_d=0.0, x_target=1.0)
-    tr = simulate(p, hold, None, None, duration=2 * dt, dt=dt)
-    phi_cl[:4, 4] = (tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1])
+
+    def pd(kp: float) -> PDConfig:
+        return PDConfig(K_p=kp, K_d=_PD_KD_RATIO * kp, delay_samples=_PD_DELAY_SAMPLES)
 
     def stable(kp: float) -> bool:
-        phi_cl[-1, :4] = (-kp, -_PD_KD_RATIO * kp, 0.0, 0.0)
+        # f_d is dropped: at F_c = 0 it is a constant, not a mode, and would pin rho at 1.
+        phi_cl = np.delete(np.delete(linear_model(p, pd(kp), dt)[0], 4, 0), 4, 1)
         return bool(np.max(np.abs(np.linalg.eigvals(phi_cl))) < 1.0)
 
     if not stable(_PD_KP_START):
@@ -546,8 +542,7 @@ def max_stable_pd(params: PlantParams, dt: float = DEFAULT_DT) -> PDConfig:
     while hi > lo * (1.0 + _PD_REL_WIDTH):
         mid = math.sqrt(lo * hi)
         lo, hi = (mid, hi) if stable(mid) else (lo, mid)
-    kp_final = _PD_BACKOFF * lo
-    return PDConfig(K_p=kp_final, K_d=_PD_KD_RATIO * kp_final, delay_samples=_PD_DELAY_SAMPLES)
+    return pd(_PD_BACKOFF * lo)
 
 
 def quasi_static_backdrive(

@@ -146,7 +146,8 @@ class Polynomial:
         ------
         RootSolveError
             If the eigen-solve does not converge or any returned root fails
-            the backward-error check ``|p(r)| <= tol * sum |c_i||r|^i``.
+            the backward-error check ``|p(r)| <= tol * sum |c_i||r|^i``, with
+            |r| taken at least eps times the largest root's modulus.
         """
         if self.is_zero:
             raise MalformedPolynomialError("zero polynomial has no root set")
@@ -157,8 +158,9 @@ class Polynomial:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise RootSolveError(f"companion eigen-solve failed: {exc}") from exc
         absc = np.abs(self.coeffs)
+        floor = np.finfo(float).eps * float(np.max(np.abs(r)))
         for root in r:
-            powers = np.abs(root) ** np.arange(self.degree, -1, -1, dtype=float)
+            powers = max(abs(root), floor) ** np.arange(self.degree, -1, -1, dtype=float)
             denom = float(np.dot(absc, powers))
             if denom > 0 and abs(self(root)) > ROOT_RESIDUAL_RTOL * denom:
                 raise RootSolveError(

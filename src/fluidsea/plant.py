@@ -38,12 +38,11 @@ one (steps, 6) array. The other columns are built after the loop, bit for
 bit as a step would have recorded them: t, F_p from the state columns,
 F_e and F_ref from the sampled blocks, and F_cmp as zeros.
 
-A linear force-source run (F_c = 0, and no controller or a proportional
-one) skips the loop. RK4 on a linear plant is an exact affine one-step map,
-which :func:`linear_model` probes from the loop itself, so the stages are
-still written once; :func:`simulate` applies it to the whole record with a
-prefix scan. Motion-source runs, hysteretic plants and controllers with
-state (dob, pd, composite) always step the loop.
+RK4 on a linear plant (F_c = 0) under a linear controller is an exact
+one-step map of the plant and controller state. :func:`linear_model` probes
+it from the loop, so no stage or control law is written twice, and
+:func:`simulate` applies it by a prefix scan to a force-source run under no
+controller or a proportional one. Every other run steps the loop.
 
 The nonlinear viscous losses of a real hose are intentionally out of model
 scope; the line stays a linear spring-damper.
@@ -59,7 +58,7 @@ from struct import Struct
 
 import numpy as np
 
-from .controllers import ProportionalFFConfig, make_controller
+from .controllers import _LawController, make_controller
 from .csvio import write_csv
 from .signals import SineMotionSpec, as_signal
 
@@ -218,7 +217,7 @@ def simulate(
     times; a callable is still called once per sample, with a float.
 
     A linear run, with ``params.F_c == 0`` and no controller or a
-    proportional one, carries no state from step to step beyond the plant's.
+    proportional one, holds no control law's force from step to step.
     When its RK4 map of :func:`linear_model`, probed from the loop, has a
     spectral radius of at most 1 on (x, v, x_e, v_e), the run takes no loop:
     the map is applied to the inputs by a prefix scan. ``t``, ``F_e`` and
@@ -246,55 +245,51 @@ def simulate(
     ctrl = make_controller(controller, dt)
     fe_fn, fref_fn = as_signal(f_ext), as_signal(f_ref)
     s0 = initial_state or PlantState()
-    if params.F_c == 0.0 and _stateless(controller):
+    if params.F_c == 0.0 and not isinstance(ctrl, _LawController):
         model = linear_model(params, controller, dt)
         if np.max(np.abs(np.linalg.eigvals(model[0][:4, :4]))) <= 1.0:
             return _run_linear(model, params, ctrl, fe_fn, fref_fn, steps, dt, s0)
     return _run(params, ctrl, fe_fn, None, fref_fn, steps, dt, s0)
 
 
-def _stateless(controller) -> bool:
-    return controller is None or isinstance(controller, ProportionalFFConfig)
-
-
 def linear_model(params: PlantParams, controller, dt: float = DEFAULT_DT):
-    """The exact one-step RK4 map of a linear plant under a force source.
+    """The exact one-step map of a linear plant and controller under a force source.
 
     Returns ``(phi, gamma_0, gamma_h, gamma_1)`` over the state
-    (x, v, x_e, v_e, f_d), such that one step of :func:`simulate` is
+    (x, v, x_e, v_e, f_d, *c), where c is the runtime's ``state()``, such
+    that one step of :func:`simulate` under a zero reference is
 
         s_{k+1} = phi s_k + gamma_0 f(t_k) + gamma_h f(t_k + dt/2) + gamma_1 f(t_k + dt)
 
     for the external force f. The map is probed from the loop, one step at a
     time: each column of ``phi`` from a unit initial state, each gamma from a
     unit force at one stage time, the unit being 2^-30 so that a probe's
-    unread second step stays clear of the divergence guard. Proportional
-    stage gains fold in through the probe. With ``F_c = 0`` the f_d row is
-    the identity, so an initial f_d acts as a constant force. Raises
-    ``ValueError`` when ``params.F_c`` is nonzero, and
-    ``NotImplementedError`` for a controller that keeps state (dob, pd,
-    composite).
+    unread second step stays clear of the divergence guard. That step calls
+    the controller again, so its next state is read from a second runtime,
+    set alike and stepped once on the trace's first row. With ``F_c = 0`` the
+    f_d row is the identity, so an initial f_d acts as a constant force.
+    Raises ``ValueError`` for a dt outside (0, 1e-2] s or a loop that is not
+    linear: F_c nonzero, a Dahl estimate in the feedforward or a PD target off 0.
     """
-    if params.F_c != 0.0:
-        raise ValueError("linear_model needs a plant without hysteresis (F_c = 0)")
-    if not _stateless(controller):
-        raise NotImplementedError(
-            f"linear_model covers no controller or a proportional one, not "
-            f"{type(controller).__name__}, which keeps state"
-        )
-    ctrl = make_controller(controller, dt)
+    _steps(dt, dt)  # checks dt as simulate does
+    dahl = getattr(getattr(controller, "feedforward", None), "dahl", None)
+    if params.F_c != 0.0 or dahl is not None or getattr(controller, "x_target", 0.0) != 0.0:
+        raise ValueError("linear_model needs F_c = 0, no Dahl estimate and a PD target of 0")
     zero = as_signal(None)
     unit = 2.0**-30  # a power of two: scaling by it rounds exactly
 
-    def after_one_step(s0, fe_fn):
-        tr = _run(params, ctrl, fe_fn, None, zero, 2, dt, s0)
-        return np.array([tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1], tr.F_d[1]]) / unit
+    def after_one_step(s, fe_fn):
+        ctrl, probe = make_controller(controller, dt), make_controller(controller, dt)
+        ctrl.set_state(s[5:])
+        probe.set_state(s[5:])
+        tr = _run(params, ctrl, fe_fn, None, zero, 2, dt, PlantState(*s[:5]))
+        probe.step(float(tr.F_p[0]), float(tr.v[0]), float(tr.x[0]), float(tr.F_ref[0]))
+        return np.array([tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1], tr.F_d[1], *probe.state()]) / unit
 
-    phi = np.array([after_one_step(PlantState(*s), zero) for s in (unit * np.eye(5)).tolist()]).T
-    gammas = [
-        after_one_step(PlantState(), lambda t, at=at: np.where(t == at, unit, 0.0))
-        for at in (0.0, 0.5 * dt, dt)
-    ]
+    n = 5 + len(make_controller(controller, dt).state())
+    phi = np.array([after_one_step(s, zero) for s in (unit * np.eye(n)).tolist()]).T
+    gammas = [after_one_step([0.0] * n, lambda t, at=at: np.where(t == at, unit, 0.0))
+              for at in (0.0, 0.5 * dt, dt)]
     return phi, *gammas
 
 
@@ -344,7 +339,7 @@ def _run_linear(model, params, ctrl, fe_fn, fref_fn, steps, dt, s0) -> SimTrace:
 
     x, v, x_e, v_e, f_d = S[:, :steps]
     F_p = _line_force(params, x, v, x_e, v_e)
-    # a stateless controller's step returns 0.0, the held part of F_a
+    # a runtime that is no control law returns 0.0 from step, the held part of F_a
     F_a = 0.0 + ctrl.stage_gain_internal * F_p + ctrl.stage_gain_external * F_e
     return SimTrace(
         dt=dt, t=t, x=x, v=v, x_e=x_e, v_e=v_e, F_p=F_p, F_e=F_e, F_a=F_a, F_d=f_d,
@@ -500,104 +495,107 @@ def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
 
     F_ref = np.empty(steps)
     frefs = _samples(fref_fn, steps, dt, 0.0, F_ref)
-    for i, fref, fe0, feh, fe1 in zip(range(steps), frefs, fe0s, fehs, fe1s):
-        if forced:
-            fp = b_s * (ve - v) + k_s * (xe - x)
-            fa = ctrl_step(fp, v, x, fref)
-            fa1 = fa + kf_int * fp + kf_ext * fe0
-        else:
-            t = i * dt
-            sin_t = sin(omega * t)
-            xe, ve = a * sin_t, a_w * cos(omega * t)
-            fp = b_s * (ve - v) + k_s * (xe - x)
-            fe = m_e * (a_ww * sin_t) + b_e * ve + k_e * xe + fd + fp
-            fa = ctrl_step(fp, v, x, fref) + kf_ext * fe
-            fa1 = fa + kf_int * fp
-            c_fe[i] = fe
-            wt = omega * (t + h)
-            xe2 = xe3 = a * sin(wt)
-            ve2 = ve3 = a_w * cos(wt)
-            wt = omega * (t + dt)
-            xe4, ve4 = a * sin(wt), a_w * cos(wt)
-        record(rows, i * row_bytes, x, v, xe, ve, fd, fa1)
-        if record_cmp:
-            c_cmp[i] = ctrl.last_f_cmp
+    try:
+        for i, fref, fe0, feh, fe1 in zip(range(steps), frefs, fe0s, fehs, fe1s):
+            if forced:
+                fp = b_s * (ve - v) + k_s * (xe - x)
+                fa = ctrl_step(fp, v, x, fref)
+                fa1 = fa + kf_int * fp + kf_ext * fe0
+            else:
+                t = i * dt
+                sin_t = sin(omega * t)
+                xe, ve = a * sin_t, a_w * cos(omega * t)
+                fp = b_s * (ve - v) + k_s * (xe - x)
+                fe = m_e * (a_ww * sin_t) + b_e * ve + k_e * xe + fd + fp
+                fa = ctrl_step(fp, v, x, fref) + kf_ext * fe
+                fa1 = fa + kf_int * fp
+                c_fe[i] = fe
+                wt = omega * (t + h)
+                xe2 = xe3 = a * sin(wt)
+                ve2 = ve3 = a_w * cos(wt)
+                wt = omega * (t + dt)
+                xe4, ve4 = a * sin(wt), a_w * cos(wt)
+            record(rows, i * row_bytes, x, v, xe, ve, fd, fa1)
+            if record_cmp:
+                c_cmp[i] = ctrl.last_f_cmp
 
-        # fa1 is stage 1's applied force, fa + kf_int fp + kf_stage fe0, as the
-        # later stages form theirs; a motion source's kf_stage fe0 is -0.0,
-        # which adds nothing.
-        dv1 = (fa1 + fp - b * v - k * x) / m
-        if dahl_on and ve != 0.0:
-            g = 1.0 - (fd / F_c) * (1.0 if ve > 0.0 else -1.0)
-            dfd1 = sigma * ve * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve * g
-        else:
-            dfd1 = 0.0
+            # fa1 is stage 1's applied force, fa + kf_int fp + kf_stage fe0, as the
+            # later stages form theirs; a motion source's kf_stage fe0 is -0.0,
+            # which adds nothing.
+            dv1 = (fa1 + fp - b * v - k * x) / m
+            if dahl_on and ve != 0.0:
+                g = 1.0 - (fd / F_c) * (1.0 if ve > 0.0 else -1.0)
+                dfd1 = sigma * ve * (abs(g) ** n * copysign(1.0, g) if general_n else g)
+            else:
+                dfd1 = 0.0
 
-        x2 = x + h * v
-        v2 = v + h * dv1
-        if forced:
-            dve1 = (fe0 - fp - b_e * ve - k_e * xe - fd) / m_e
-            xe2 = xe + h * ve
-            ve2 = ve + h * dve1
-        fd2 = fd + h * dfd1
-        fp = b_s * (ve2 - v2) + k_s * (xe2 - x2)
-        dv2 = (fa + kf_int * fp + kf_stage * feh + fp - b * v2 - k * x2) / m
-        if dahl_on and ve2 != 0.0:
-            g = 1.0 - (fd2 / F_c) * (1.0 if ve2 > 0.0 else -1.0)
-            dfd2 = sigma * ve2 * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve2 * g
-        else:
-            dfd2 = 0.0
+            x2 = x + h * v
+            v2 = v + h * dv1
+            if forced:
+                dve1 = (fe0 - fp - b_e * ve - k_e * xe - fd) / m_e
+                xe2 = xe + h * ve
+                ve2 = ve + h * dve1
+            fd2 = fd + h * dfd1
+            fp = b_s * (ve2 - v2) + k_s * (xe2 - x2)
+            dv2 = (fa + kf_int * fp + kf_stage * feh + fp - b * v2 - k * x2) / m
+            if dahl_on and ve2 != 0.0:
+                g = 1.0 - (fd2 / F_c) * (1.0 if ve2 > 0.0 else -1.0)
+                dfd2 = sigma * ve2 * (abs(g) ** n * copysign(1.0, g) if general_n else g)
+            else:
+                dfd2 = 0.0
 
-        x3 = x + h * v2
-        v3 = v + h * dv2
-        if forced:
-            dve2 = (feh - fp - b_e * ve2 - k_e * xe2 - fd2) / m_e
-            xe3 = xe + h * ve2
-            ve3 = ve + h * dve2
-        fd3 = fd + h * dfd2
-        fp = b_s * (ve3 - v3) + k_s * (xe3 - x3)
-        dv3 = (fa + kf_int * fp + kf_stage * feh + fp - b * v3 - k * x3) / m
-        if dahl_on and ve3 != 0.0:
-            g = 1.0 - (fd3 / F_c) * (1.0 if ve3 > 0.0 else -1.0)
-            dfd3 = sigma * ve3 * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve3 * g
-        else:
-            dfd3 = 0.0
+            x3 = x + h * v2
+            v3 = v + h * dv2
+            if forced:
+                dve2 = (feh - fp - b_e * ve2 - k_e * xe2 - fd2) / m_e
+                xe3 = xe + h * ve2
+                ve3 = ve + h * dve2
+            fd3 = fd + h * dfd2
+            fp = b_s * (ve3 - v3) + k_s * (xe3 - x3)
+            dv3 = (fa + kf_int * fp + kf_stage * feh + fp - b * v3 - k * x3) / m
+            if dahl_on and ve3 != 0.0:
+                g = 1.0 - (fd3 / F_c) * (1.0 if ve3 > 0.0 else -1.0)
+                dfd3 = sigma * ve3 * (abs(g) ** n * copysign(1.0, g) if general_n else g)
+            else:
+                dfd3 = 0.0
 
-        x4 = x + dt * v3
-        v4 = v + dt * dv3
-        if forced:
-            dve3 = (feh - fp - b_e * ve3 - k_e * xe3 - fd3) / m_e
-            xe4 = xe + dt * ve3
-            ve4 = ve + dt * dve3
-        fd4 = fd + dt * dfd3
-        fp = b_s * (ve4 - v4) + k_s * (xe4 - x4)
-        dv4 = (fa + kf_int * fp + kf_stage * fe1 + fp - b * v4 - k * x4) / m
-        if dahl_on and ve4 != 0.0:
-            g = 1.0 - (fd4 / F_c) * (1.0 if ve4 > 0.0 else -1.0)
-            dfd4 = sigma * ve4 * abs(g) ** n * copysign(1.0, g) if general_n else sigma * ve4 * g
-        else:
-            dfd4 = 0.0
+            x4 = x + dt * v3
+            v4 = v + dt * dv3
+            if forced:
+                dve3 = (feh - fp - b_e * ve3 - k_e * xe3 - fd3) / m_e
+                xe4 = xe + dt * ve3
+                ve4 = ve + dt * dve3
+            fd4 = fd + dt * dfd3
+            fp = b_s * (ve4 - v4) + k_s * (xe4 - x4)
+            dv4 = (fa + kf_int * fp + kf_stage * fe1 + fp - b * v4 - k * x4) / m
+            if dahl_on and ve4 != 0.0:
+                g = 1.0 - (fd4 / F_c) * (1.0 if ve4 > 0.0 else -1.0)
+                dfd4 = sigma * ve4 * (abs(g) ** n * copysign(1.0, g) if general_n else g)
+            else:
+                dfd4 = 0.0
 
-        x += w * (v + 2.0 * (v2 + v3) + v4)
-        v += w * (dv1 + 2.0 * (dv2 + dv3) + dv4)
-        if forced:
-            dve4 = (fe1 - fp - b_e * ve4 - k_e * xe4 - fd4) / m_e
-            xe += w * (ve + 2.0 * (ve2 + ve3) + ve4)
-            ve += w * (dve1 + 2.0 * (dve2 + dve3) + dve4)
-        else:
-            xe, ve = xe4, ve4
-        fd += w * (dfd1 + 2.0 * (dfd2 + dfd3) + dfd4)
-        if dahl_on:
-            if fd > F_c:
-                fd = F_c
-            elif fd < -F_c:
-                fd = -F_c
-        if not (
-            neg_limit <= x <= limit and neg_limit <= v <= limit
-            and neg_limit <= xe <= limit and neg_limit <= ve <= limit
-            and neg_inf < fd < inf
-        ):
-            raise SimulationDivergedError(i)
+            x += w * (v + 2.0 * (v2 + v3) + v4)
+            v += w * (dv1 + 2.0 * (dv2 + dv3) + dv4)
+            if forced:
+                dve4 = (fe1 - fp - b_e * ve4 - k_e * xe4 - fd4) / m_e
+                xe += w * (ve + 2.0 * (ve2 + ve3) + ve4)
+                ve += w * (dve1 + 2.0 * (dve2 + dve3) + dve4)
+            else:
+                xe, ve = xe4, ve4
+            fd += w * (dfd1 + 2.0 * (dfd2 + dfd3) + dfd4)
+            if dahl_on:
+                if fd > F_c:
+                    fd = F_c
+                elif fd < -F_c:
+                    fd = -F_c
+            if not (
+                neg_limit <= x <= limit and neg_limit <= v <= limit
+                and neg_limit <= xe <= limit and neg_limit <= ve <= limit
+                and neg_inf < fd < inf
+            ):
+                raise SimulationDivergedError(i)
+    except OverflowError as exc:  # abs(g) ** n of a general Dahl exponent, not inf
+        raise SimulationDivergedError(i) from exc
 
     x, v, x_e, v_e, F_d, F_a = np.frombuffer(rows).reshape(steps, 6).T
     t = np.arange(steps, dtype=float)

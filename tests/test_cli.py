@@ -1,14 +1,17 @@
 import ast
+import contextlib
 import hashlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fluidsea
@@ -24,7 +27,7 @@ from fluidsea.experiments import (
     run_preset,
     serialize_config,
 )
-from fluidsea.lti import FrequencyGrid
+from fluidsea.lti import FrequencyGrid, Polynomial, RootSolveError
 from fluidsea.passivity import endpoint_impedance
 from fluidsea.plant import PlantParams
 from fluidsea.sysid import FrequencyResponse
@@ -108,8 +111,13 @@ def _floats(lo, hi):
 
 
 @st.composite
-def config_texts(draw):
-    """INI text over every section; optional keys are left out at random."""
+def config_texts(draw, bounded=False):
+    """INI text over every section; optional keys are left out at random.
+
+    ``bounded`` caps what running the config costs: a grid from 3 rad/s of
+    at most 3 points, a run of at most 2 s, a chirp of at most 4 s, a dt of
+    at least 5e-4 s and a backdrive at 3 rad/s or faster.
+    """
     pos, nonneg, real = _floats(1e-4, 1e3), _floats(0.0, 1e3), _floats(-1e3, 1e3)
     sections = {"plant": {}, "controller": {}, "excitation": {}, "analysis": {}, "run": {}}
 
@@ -143,22 +151,31 @@ def config_texts(draw):
     if exc["type"] == "chirp":
         f0 = draw(st.floats(1e-3, 10.0))
         exc["f0"], exc["f1"] = repr(f0), repr(f0 * draw(st.floats(1.5, 1e3)))
-        maybe("excitation", amplitude=real, duration=pos)
+        maybe("excitation", amplitude=real)
+        if bounded:
+            exc["duration"] = draw(_floats(1e-3, 4.0))
+        else:
+            maybe("excitation", duration=pos)
     elif exc["type"] == "sine":
         exc["amplitude"], exc["omega"] = draw(real), draw(pos)
     elif exc["type"] == "constant":
         exc["value"] = draw(real)
     maybe("excitation", noise_std=nonneg)
-    grid_min = draw(st.floats(1e-3, 10.0))
+    grid_min = draw(st.floats(3.0 if bounded else 1e-3, 10.0))
     sections["analysis"].update(grid_min=repr(grid_min), grid_max=repr(grid_min * 10.0))
-    maybe("analysis", type=st.sampled_from(["simulate", "sysid", "impedance", "workloop",
-                                            "zwidth", "passivity"]),
-          grid_points=st.integers(1, 200).map(str), force_amplitude=pos,
-          method=st.sampled_from(["measured", "closed_form"]),
+    kinds = st.sampled_from(["simulate", "sysid", "impedance", "workloop", "zwidth", "passivity"])
+    if bounded:
+        sections["analysis"].update(type=draw(kinds), grid_points=str(draw(st.integers(1, 3))),
+                                    backdrive_omega=draw(_floats(3.0, 1e3)))
+    else:
+        maybe("analysis", type=kinds, grid_points=st.integers(1, 200).map(str),
+              backdrive_omega=pos)
+    maybe("analysis", force_amplitude=pos, method=st.sampled_from(["measured", "closed_form"]),
           include_motor_port=st.sampled_from(["true", "false"]),
-          fit_dahl=st.sampled_from(["yes", "no"]), backdrive_omega=pos,
+          fit_dahl=st.sampled_from(["yes", "no"]),
           backdrive_amplitude=pos, backdrive_cycles=st.integers(4, 10).map(str))
-    maybe("run", duration=pos, dt=_floats(1e-6, 1e-2), seed=st.integers(0, 2**32).map(str),
+    maybe("run", duration=_floats(1e-4, 2.0) if bounded else pos,
+          dt=_floats(5e-4 if bounded else 1e-6, 1e-2), seed=st.integers(0, 2**32).map(str),
           output_dir=st.text("abcXYZ019_-./%", min_size=1, max_size=12),
           allow_nyquist=st.sampled_from(["on", "off"]))
     return "".join(
@@ -172,6 +189,42 @@ def config_texts(draw):
 def test_parse_serialize_round_trip(text):
     cfg = parse_config(text)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# An observer whose k_n puts a pole within roundoff of the origin.
+TINY_K_N_CFG = """
+[controller]
+type = dob
+lambda = 1
+m_n = 0.005
+k_n = 1e-100
+
+[analysis]
+type = passivity
+"""
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@example(TINY_K_N_CFG)
+@given(config_texts(bounded=True))
+def test_drawn_configs_run_from_the_cli(text):
+    # every config runs, or exits 2 naming a section or key, or exits 3 on
+    # a numerical failure; no other exception escapes main
+    try:
+        kind = parse_config(text).analysis.kind
+    except ConfigError:
+        kind = "simulate"
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # invalid sweep points warn
+        path = os.path.join(d, "exp.ini")
+        with open(path, "w") as f:
+            f.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([kind, path, "--out", os.path.join(d, "out")])
+    assert rc in (0, 2, 3), err.getvalue()
+    if rc == 2:
+        assert re.search(r"\[(plant|controller|excitation|analysis|run)\] ", err.getvalue())
 
 
 class TestPresets:
@@ -563,6 +616,24 @@ grid_points = 2
         data = np.loadtxt(out / "zwidth.csv", delimiter=",", skiprows=1)
         assert data.shape == (2, 4)
         assert np.all(data[:, 3] > 20.0)  # healthy width on both points
+
+    def test_pole_within_roundoff_of_origin_runs(self, tmp_path):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(TINY_K_N_CFG)
+        assert main(["passivity", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        report = (tmp_path / "out" / "passivity_report.txt").read_text()
+        assert "closed-form verdict: passive\n" in report
+        assert "\nverdict: passive\n" in report
+
+    def test_root_solve_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def fail(poly):
+            raise RootSolveError("root 0.0 has backward error 1.000e+00")
+
+        monkeypatch.setattr(Polynomial, "roots", fail)
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(PASSIVITY_CFG)
+        assert main(["passivity", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        assert "numerical failure: root 0.0 has backward error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m", ["1e-6", "3e-6"])
     def test_zwidth_pd_sweep_failure_exit_code(self, tmp_path, capsys, m):

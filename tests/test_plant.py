@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -413,23 +414,94 @@ def test_linear_model_scope():
     assert [g[4] for g in gammas] == [0.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="F_c"):
         linear_model(_PLANTS["n_dahl=1"], None, DT)
-    for kind in ("dob", "pd", "composite"):
-        with pytest.raises(NotImplementedError, match="keeps state"):
-            linear_model(_PLANTS["linear"], _backdrive_controllers(1e-3)[kind], DT)
+    # the plant's five states, then the delay line, the observer's four and
+    # the feedforward's five
+    for kind, n in (("pd", 6), ("dob", 9), ("composite", 14)):
+        phi, *gammas = linear_model(_PLANTS["linear"], _backdrive_controllers(1e-3)[kind], DT)
+        assert phi.shape == (n, n) and all(g.shape == (n,) for g in gammas), kind
+    with pytest.raises(ValueError, match="Dahl"):
+        linear_model(_PLANTS["linear"], _backdrive_controllers(1e-3)["composite_dahl"], DT)
+    with pytest.raises(ValueError, match="target"):
+        linear_model(_PLANTS["linear"], PDConfig(K_p=20.0, K_d=0.4, x_target=0.1), DT)
 
 
-@pytest.mark.parametrize("kind", list(_STATELESS))
+@pytest.mark.parametrize("dt", [0.0, -5e-4, 0.5])
+@pytest.mark.parametrize(
+    "fn", [lambda p, dt: linear_model(p, None, dt), fluidsea.impedance.max_stable_pd],
+    ids=["linear_model", "max_stable_pd"],
+)
+def test_linear_model_rejects_dt_as_simulate_does(fn, dt):
+    with pytest.raises(ValueError, match=re.escape("dt must lie in (0, 1e-2] s")):
+        fn(_PLANTS["linear"], dt)
+
+
+_MAP_CONTROLLERS = {
+    **_STATELESS,
+    "dob": DOBConfig.inertial(PlantParams.gripper().m, 20.0),
+    "dob_hz": DOBConfig.inertial(PlantParams.gripper().m, 2.0 * math.pi * 20.0),
+    "pd0": PDConfig(K_p=88.4, K_d=1.768),
+    "pd1": PDConfig(K_p=88.4, K_d=1.768, delay_samples=1),
+    "pd2": PDConfig(K_p=40.0, K_d=0.8, delay_samples=2),  # 88.4 is unstable at 2 samples
+    "composite": CompositeConfig(
+        DOBConfig.inertial(PlantParams.gripper().m, 20.0),
+        FeedforwardConfig.from_params(PlantParams.gripper(), include_dahl=False),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MAP_CONTROLLERS))
 def test_linear_model_probes_are_exact(kind):
-    p, ctrl = _PLANTS["linear"], _STATELESS[kind]
-    phi, g0, _, _ = linear_model(p, ctrl, DT)
+    p, cfg = _PLANTS["linear"], _MAP_CONTROLLERS[kind]
+    phi, *gammas = linear_model(p, cfg, DT)
+    n = phi.shape[0]
+    for j, unit in enumerate(np.eye(n).tolist()):
+        assert phi[:, j].tolist() == _one_step(p, cfg, None, unit), j
+    for at, g in zip((0.0, 0.5 * DT, DT), gammas):
+        assert g.tolist() == _one_step(p, cfg, lambda t: 1.0 if t == at else 0.0, [0.0] * n), at
 
-    def after_one_step(f_ext, s0):
-        tr = _loop(p, ctrl, f_ext, None, duration=2 * DT, initial_state=s0)
-        return [tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1], tr.F_d[1]]
 
-    for j, unit in enumerate(np.eye(5).tolist()):
-        assert phi[:, j].tolist() == after_one_step(None, PlantState(*unit))
-    assert g0.tolist() == after_one_step(lambda t: 1.0 if t == 0.0 else 0.0, PlantState())
+def _one_step(p, cfg, f_ext, s):
+    """The plant and controller state one loop step after the state ``s``.
+
+    The controller's is read from its runtime right after the loop's first
+    call, through a wrapper on the instance.
+    """
+    ctrl = make_controller(cfg, DT)
+    ctrl.set_state(s[5:])
+    law, after = ctrl.step, []
+
+    def step(*args):
+        u = law(*args)
+        after.append(ctrl.state())
+        return u
+
+    ctrl.step = step
+    tr = fluidsea.plant._run(p, ctrl, as_signal(f_ext), None, as_signal(None), 2, DT,
+                             PlantState(*s[:5]))
+    return [tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1], tr.F_d[1], *after[0]]
+
+
+@pytest.mark.parametrize("kind", ["pd1", "pd2", "dob", "dob_hz", "composite"])
+def test_linear_model_equals_the_loop_over_a_sweep_point(kind):
+    # the map iterated from rest over one sweep point's S + 2 periods at
+    # 3 rad/s, against the loop: equal to roundoff
+    p = _PLANTS["linear"]
+    cfg = _MAP_CONTROLLERS[kind]
+    w = snap_omega(3.0, DT)
+    period = 2.0 * math.pi / w
+    force = SineSpec(0.1, w)
+    want = simulate(p, cfg, force, duration=(math.ceil(5.0 / period) + 2) * period, dt=DT)
+    phi, g0, gh, g1 = linear_model(p, cfg, DT)
+    f, t = as_signal(force), want.t
+    inputs = np.outer(f(t), g0) + np.outer(f(t + 0.5 * DT), gh) + np.outer(f(t + DT), g1)
+    got = np.empty((len(t), 4))
+    s = np.zeros(phi.shape[0])
+    for k, u in enumerate(inputs):
+        got[k] = s[:4]
+        s = phi @ s + u
+    for j, name in enumerate(("x", "v", "x_e", "v_e")):
+        col = want.column(name)
+        assert np.max(np.abs(got[:, j] - col)) <= 1e-10 * np.max(np.abs(col)), name
 
 
 def test_stiff_linear_run_diverges_at_the_loops_step():
@@ -648,3 +720,12 @@ class TestTraceSerialization:
         tr = simulate(gripper, None, None, None, duration=0.01, dt=DT)
         with pytest.raises(KeyError):
             tr.column("bogus")
+
+
+def test_dahl_power_overflow_is_a_divergence():
+    # abs(g) ** n raises OverflowError for a large exponent, where the guard
+    # would see inf; the loop reports it as a divergence at that step
+    p = replace(PlantParams.gripper(), n_dahl=98.0)
+    with pytest.raises(SimulationDivergedError) as err:
+        simulate(p, None, SineSpec(200.0, 900.0), duration=0.1, dt=DT)
+    assert err.value.step_index == 1
