@@ -91,7 +91,7 @@ class DOBConfig:
 
     def __post_init__(self):
         if self.lam <= 0:
-            raise ValueError("lambda must be > 0")
+            raise ValueError(f"lam must be > 0, got {self.lam:.6g}")
 
     @classmethod
     def inertial(cls, m_n: float, lam: float = 20.0) -> "DOBConfig":
@@ -109,10 +109,9 @@ class PDConfig:
     delay_samples: int = 0
 
     def __post_init__(self):
-        if self.K_p < 0 or self.K_d < 0:
-            raise ValueError("PD gains must be >= 0")
-        if self.delay_samples < 0:
-            raise ValueError("delay_samples must be >= 0")
+        for name in ("K_p", "K_d", "delay_samples"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name):.6g}")
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,9 @@ class DahlEstimate:
     sigma: float
 
     def __post_init__(self):
-        if self.F_c <= 0 or self.sigma <= 0:
-            raise ValueError("Dahl estimate requires F_c > 0 and sigma > 0")
+        for name in ("F_c", "sigma"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name):.6g}")
 
 
 @dataclass(frozen=True)
@@ -148,13 +148,13 @@ class FeedforwardConfig:
     dahl: DahlEstimate | None = None
 
     def __post_init__(self):
-        if self.k_s <= 0:
-            raise ValueError("feedforward line stiffness estimate must be > 0")
-        if self.b_s <= 0:
-            # the estimate's filter (b_e s + k_e)/(b_s s + k_s) must be proper
-            raise ValueError("feedforward line damping estimate must be > 0")
-        if min(self.b_e, self.k_e) < 0:
-            raise ValueError("feedforward coefficients must be >= 0")
+        # b_s > 0: the estimate's filter (b_e s + k_e)/(b_s s + k_s) must be proper
+        for name in ("k_s", "b_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name):.6g}")
+        for name in ("b_e", "k_e"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name):.6g}")
 
     @classmethod
     def from_params(cls, params, include_dahl: bool = True) -> "FeedforwardConfig":

@@ -83,8 +83,13 @@ class AnalysisSpec:
     backdrive_cycles: int = 4
 
     def __post_init__(self):
-        if self.grid_points < 1 or self.grid_min <= 0 or self.grid_max <= self.grid_min:
-            raise ValueError("grid requires 0 < grid_min < grid_max, points >= 1")
+        if self.grid_min <= 0:
+            raise ValueError(f"grid_min must be > 0, got {self.grid_min:.6g}")
+        if self.grid_max <= self.grid_min:
+            raise ValueError(f"grid_max must be > grid_min = {self.grid_min:.6g}, "
+                             f"got {self.grid_max:.6g}")
+        if self.grid_points < 1:
+            raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
 
     def grid(self) -> FrequencyGrid:
         return FrequencyGrid.log_spaced(self.grid_min, self.grid_max, self.grid_points)
@@ -429,8 +434,7 @@ _DAHL = _Group(DahlEstimate, {
 _FEEDFORWARD = _Group(FeedforwardConfig, {
     "ff_b_e": _Key(default=lambda plant: plant.b_e, attr="b_e"),
     "ff_k_e": _Key(default=lambda plant: plant.k_e, attr="k_e"),
-    "ff_b_s": _Key(default=lambda plant: plant.b_s, attr="b_s",
-                   check=(lambda v: v > 0, "must be > 0")),
+    "ff_b_s": _Key(default=lambda plant: plant.b_s, attr="b_s"),
     "ff_k_s": _Key(default=lambda plant: plant.k_s, attr="k_s"),
     "ff_dahl": _Key({True: _DAHL, False: _NONE}, lambda plant: plant.F_c > 0, attr="dahl"),
 })
@@ -549,8 +553,10 @@ class _SectionReader:
         kwargs.update((attr, self.build(part)) for attr, part in group.parts.items())
         try:
             return group.cls(**kwargs)
-        except ValueError as exc:
-            raise self.error(exc) from exc
+        except ValueError as exc:  # a field's check, named as its key
+            field, sep, text = str(exc).partition(" ")
+            keys = {key.attr: name for name, key in group.keys.items() if key.attr}
+            raise self.error(keys.get(field, field) + sep + text) from exc
 
     def read(self, group: _Group) -> dict:
         kwargs = self.build(group)

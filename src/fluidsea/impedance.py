@@ -35,6 +35,7 @@ from .plant import (
     PlantParams,
     SimTrace,
     SimulationDivergedError,
+    _modal_radius,
     linear_model,
     simulate,
     simulate_backdriven,
@@ -525,9 +526,7 @@ def max_stable_pd(params: PlantParams, dt: float = DEFAULT_DT) -> PDConfig:
         return PDConfig(K_p=kp, K_d=_PD_KD_RATIO * kp, delay_samples=_PD_DELAY_SAMPLES)
 
     def stable(kp: float) -> bool:
-        # f_d is dropped: at F_c = 0 it is a constant, not a mode, and would pin rho at 1.
-        phi_cl = np.delete(np.delete(linear_model(p, pd(kp), dt)[0], 4, 0), 4, 1)
-        return bool(np.max(np.abs(np.linalg.eigvals(phi_cl))) < 1.0)
+        return bool(_modal_radius(linear_model(p, pd(kp), dt)[0]) < 1.0)
 
     if not stable(_PD_KP_START):
         raise PDSweepError("PD sweep start gain already unstable")

@@ -30,13 +30,8 @@ makes no call per step beyond the controller: the external and reference
 forces are sampled a block of steps at a time, the four RK4 stages are
 straight-line code in the loop body, and the sine motion is evaluated there
 from constants hoisted out of it. Each step records only the columns it
-computes: x, v, x_e, v_e, F_d and F_a as one packed row of a flat float
-buffer, and F_e under a motion source and F_cmp under a controller with a
-feedforward term each in a buffer of its own. The returned trace views
-these buffers without a copy, so those six columns are strided views of
-one (steps, 6) array. The other columns are built after the loop, bit for
-bit as a step would have recorded them: t, F_p from the state columns,
-F_e and F_ref from the sampled blocks, and F_cmp as zeros.
+computes, into flat buffers that the trace views without a copy; the other
+columns are built after the loop, bit for bit (see :func:`_run`).
 
 RK4 on a linear plant (F_c = 0) under a linear controller is an exact
 one-step map of the plant and controller state. :func:`linear_model` probes
@@ -247,9 +242,9 @@ def simulate(
     s0 = initial_state or PlantState()
     if params.F_c == 0.0 and not isinstance(ctrl, _LawController):
         model = linear_model(params, controller, dt)
-        if np.max(np.abs(np.linalg.eigvals(model[0][:4, :4]))) <= 1.0:
+        if _modal_radius(model[0]) <= 1.0:
             return _run_linear(model, params, ctrl, fe_fn, fref_fn, steps, dt, s0)
-    return _run(params, ctrl, fe_fn, None, fref_fn, steps, dt, s0)
+    return _run(params, ctrl, fe_fn, None, fref_fn, steps, dt, s0)[0]
 
 
 def linear_model(params: PlantParams, controller, dt: float = DEFAULT_DT):
@@ -261,13 +256,12 @@ def linear_model(params: PlantParams, controller, dt: float = DEFAULT_DT):
 
         s_{k+1} = phi s_k + gamma_0 f(t_k) + gamma_h f(t_k + dt/2) + gamma_1 f(t_k + dt)
 
-    for the external force f. The map is probed from the loop, one step at a
-    time: each column of ``phi`` from a unit initial state, each gamma from a
-    unit force at one stage time, the unit being 2^-30 so that a probe's
-    unread second step stays clear of the divergence guard. That step calls
-    the controller again, so its next state is read from a second runtime,
-    set alike and stepped once on the trace's first row. With ``F_c = 0`` the
-    f_d row is the identity, so an initial f_d acts as a constant force.
+    for the external force f. Each column is one :func:`_run` step of a runtime
+    set to a unit state, read as the run's end state and the runtime's
+    ``state()``: a unit initial state for ``phi``, a unit force at one stage
+    time for each gamma. The unit is 2^-30, which keeps the probe step clear
+    of the divergence guard. With ``F_c = 0`` the f_d row is the identity: f_d
+    is a constant force, not a mode, and :func:`_modal_radius` drops it.
     Raises ``ValueError`` for a dt outside (0, 1e-2] s or a loop that is not
     linear: F_c nonzero, a Dahl estimate in the feedforward or a PD target off 0.
     """
@@ -279,18 +273,21 @@ def linear_model(params: PlantParams, controller, dt: float = DEFAULT_DT):
     unit = 2.0**-30  # a power of two: scaling by it rounds exactly
 
     def after_one_step(s, fe_fn):
-        ctrl, probe = make_controller(controller, dt), make_controller(controller, dt)
+        ctrl = make_controller(controller, dt)
         ctrl.set_state(s[5:])
-        probe.set_state(s[5:])
-        tr = _run(params, ctrl, fe_fn, None, zero, 2, dt, PlantState(*s[:5]))
-        probe.step(float(tr.F_p[0]), float(tr.v[0]), float(tr.x[0]), float(tr.F_ref[0]))
-        return np.array([tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1], tr.F_d[1], *probe.state()]) / unit
+        end = _run(params, ctrl, fe_fn, None, zero, 1, dt, PlantState(*s[:5]))[1]
+        return np.array([*end, *ctrl.state()]) / unit
 
     n = 5 + len(make_controller(controller, dt).state())
     phi = np.array([after_one_step(s, zero) for s in (unit * np.eye(n)).tolist()]).T
     gammas = [after_one_step([0.0] * n, lambda t, at=at: np.where(t == at, unit, 0.0))
               for at in (0.0, 0.5 * dt, dt)]
     return phi, *gammas
+
+
+def _modal_radius(phi) -> float:
+    """The spectral radius of a :func:`linear_model` map over its modes, f_d left out."""
+    return np.max(np.abs(np.linalg.eigvals(np.delete(np.delete(phi, 4, 0), 4, 1))))
 
 
 # Columns per block of the linear run: bounds the scan's temporaries to ~1 MB.
@@ -374,7 +371,7 @@ def simulate_backdriven(
         raise TypeError(f"motion must be a SineMotionSpec, not {type(motion).__name__}")
     steps = _steps(duration, dt)
     ctrl = make_controller(controller, dt)
-    return _run(params, ctrl, None, motion, as_signal(f_ref), steps, dt, PlantState())
+    return _run(params, ctrl, None, motion, as_signal(f_ref), steps, dt, PlantState())[0]
 
 
 def _steps(duration: float, dt: float) -> int:
@@ -416,7 +413,7 @@ def _line_force(params, x, v, x_e, v_e) -> np.ndarray:
     return F_p
 
 
-def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
+def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0):
     """The simulation loop: the endpoint is driven by ``fe_fn`` or, if given, by ``motion``.
 
     This is the one place where the RK4 stages and the Dahl law are written.
@@ -443,7 +440,8 @@ def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
     columns are built after the loop, bit for bit as the step would have
     recorded them: ``t`` as ``i dt``, F_p from the state columns in the
     step's operation order, F_e under a force source and F_ref from the
-    sampled blocks, and F_cmp as zeros.
+    sampled blocks, and F_cmp as zeros. It returns the trace and the state
+    (x, v, x_e, v_e, f_d) after the last step, which no row of the trace holds.
     """
     m, b, k = params.m, params.b, params.k
     m_e, b_e, k_e = params.m_e, params.b_e, params.k_e
@@ -597,6 +595,7 @@ def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
     except OverflowError as exc:  # abs(g) ** n of a general Dahl exponent, not inf
         raise SimulationDivergedError(i) from exc
 
+    end = (x, v, xe, ve, fd)
     x, v, x_e, v_e, F_d, F_a = np.frombuffer(rows).reshape(steps, 6).T
     t = np.arange(steps, dtype=float)
     t *= dt  # i dt, exactly: i is an integer float
@@ -604,4 +603,4 @@ def _run(params, ctrl, fe_fn, motion, fref_fn, steps, dt, s0) -> SimTrace:
         dt=dt, t=t, x=x, v=v, x_e=x_e, v_e=v_e, F_p=_line_force(params, x, v, x_e, v_e),
         F_e=F_e if forced else np.frombuffer(c_fe), F_a=F_a, F_d=F_d,
         F_cmp=np.frombuffer(c_cmp) if record_cmp else np.zeros(steps), F_ref=F_ref,
-    )
+    ), end

@@ -451,6 +451,24 @@ duration = 5
         assert re.search(rf"\b{key}\b", err)
         assert err.count(f"[{section}]") == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[controller]\ntype = pd\nK_p = -1\nK_d = 1\n", "K_p must be >= 0, got -1"),
+            ("[controller]\ntype = composite\nff_k_e = -1\n", "ff_k_e must be >= 0, got -1"),
+            ("[controller]\ntype = composite\nff_F_c = -1\n", "ff_F_c must be > 0, got -1"),
+            ("[controller]\ntype = composite\nff_k_s = 0\n", "ff_k_s must be > 0, got 0"),
+            ("[controller]\ntype = dob\nlambda = -3\n", "lambda must be > 0, got -3"),
+            ("[analysis]\ngrid_points = 0\n", "grid_points must be >= 1, got 0"),
+        ],
+    )
+    def test_rejected_value_names_its_key(self, tmp_path, capsys, text, message):
+        # a dataclass's own check names its field; the reader names the key it came from
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(text)
+        assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{text[:text.index(']') + 1]} {message}" in capsys.readouterr().err
+
     def test_sysid_warns_about_nyquist_once(self, tmp_path):
         # f1 = 1000 Hz is above 80 % of the 1000 Hz Nyquist frequency at the default dt
         cfg_path = tmp_path / "exp.ini"

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fluidsea.experiments import preset_config
 from fluidsea.impedance import (
     _PD_BACKOFF,
     DahlFitError,
+    PDSweepError,
     WorkLoopError,
     _dahl_problem,
     _dahl_residuals,
@@ -568,3 +570,10 @@ class TestMaxStablePd:
         assert np.max(np.abs(x[-len(x) // 4:])) < 1e-6 * np.max(np.abs(x[:len(x) // 4]))
         with pytest.raises(SimulationDivergedError):
             release(1.05 * boundary)
+
+    def test_unstable_start_gain_is_a_sweep_error(self, gripper):
+        # a sampled plant so unstable that a 2^-30 probe passes the divergence
+        # guard in two steps: one probe step keeps the sweep's own error
+        p = replace(gripper, m_e=16.42, b_s=310.6, k_s=158.2, sigma=544.2, n_dahl=1000.0)
+        with pytest.raises(PDSweepError, match="start gain already unstable"):
+            max_stable_pd(p, 5.73e-3)

@@ -149,7 +149,7 @@ def _loop(params, controller=None, f_ext=None, f_ref=None, duration=1.0, dt=DT,
     return fluidsea.plant._run(
         params, make_controller(controller, dt), as_signal(f_ext), None, as_signal(f_ref),
         int(round(duration / dt)), dt, initial_state or PlantState(),
-    )
+    )[0]
 
 
 def _reference_rk4(params):
@@ -402,7 +402,7 @@ def test_linear_runs_skip_the_loop(monkeypatch):
 
     monkeypatch.setattr(fluidsea.plant, "_run", counting_run)
     simulate(_PLANTS["linear"], _STATELESS["internal"], SineSpec(0.05, 3.0), duration=1.0)
-    assert steps == [2] * 8  # the probes of linear_model, one step each
+    assert steps == [1] * 8  # the probes of linear_model, one step each
     steps.clear()
     simulate(_PLANTS["n_dahl=1"], _STATELESS["internal"], SineSpec(0.05, 3.0), duration=1.0)
     assert steps == [2000]
@@ -461,24 +461,28 @@ def test_linear_model_probes_are_exact(kind):
 
 
 def _one_step(p, cfg, f_ext, s):
-    """The plant and controller state one loop step after the state ``s``.
-
-    The controller's is read from its runtime right after the loop's first
-    call, through a wrapper on the instance.
-    """
+    """The state one loop step after ``s``: a one-step run's end state, then its runtime's."""
     ctrl = make_controller(cfg, DT)
     ctrl.set_state(s[5:])
-    law, after = ctrl.step, []
+    end = fluidsea.plant._run(p, ctrl, as_signal(f_ext), None, as_signal(None), 1, DT,
+                              PlantState(*s[:5]))[1]
+    return [*end, *ctrl.state()]
 
-    def step(*args):
-        u = law(*args)
-        after.append(ctrl.state())
-        return u
 
-    ctrl.step = step
-    tr = fluidsea.plant._run(p, ctrl, as_signal(f_ext), None, as_signal(None), 2, DT,
-                             PlantState(*s[:5]))
-    return [tr.x[1], tr.v[1], tr.x_e[1], tr.v_e[1], tr.F_d[1], *after[0]]
+@pytest.mark.parametrize("source", ["force", "motion"])
+def test_run_returns_its_end_state(source):
+    # the end state of n steps is row n of a run one step longer, bit for bit
+    p, cfg = _PLANTS["n_dahl=1"], _backdrive_controllers(1e-3)["composite_dahl"]
+    fe = as_signal(SineSpec(0.05, 3.0)) if source == "force" else None
+    motion = SineMotionSpec(0.5, 3.0) if source == "motion" else None
+
+    def run(steps):
+        return fluidsea.plant._run(p, make_controller(cfg, DT), fe, motion, as_signal(None),
+                                   steps, DT, PlantState(x_e=0.01, f_d=0.01))
+
+    longer, (_, end) = run(301)[0], run(300)
+    assert list(end) == [longer.x[300], longer.v[300], longer.x_e[300], longer.v_e[300],
+                         longer.F_d[300]]
 
 
 @pytest.mark.parametrize("kind", ["pd1", "pd2", "dob", "dob_hz", "composite"])
@@ -504,9 +508,35 @@ def test_linear_model_equals_the_loop_over_a_sweep_point(kind):
         assert np.max(np.abs(got[:, j] - col)) <= 1e-10 * np.max(np.abs(col)), name
 
 
+# Relative gaps allowed between the map's periodic steady state and the
+# sweep at 0.3, 3 and 10 rad/s, each at most 10x the gap measured. They are
+# the transient the 5 s settle leaves: the observer's slowest mode has
+# tau = 0.58 s at 20 rad/s (0.49 s at 20 Hz), the composite's near-unit modes
+# barely decay, and at 0.3 rad/s one 21 s settle period leaves only roundoff.
+_PERIODIC_GAPS = {
+    "pd1": (5e-12, 2e-13, 1e-13),
+    "dob": (5e-12, 5e-7, 2e-5),
+    "dob_hz": (5e-12, 5e-8, 5e-6),
+    "composite": (2e-7, 3e-9, 5e-7),
+}
+
+
+@pytest.mark.parametrize("kind", list(_PERIODIC_GAPS))
+def test_linear_model_periodic_steady_state_equals_the_sweep(kind):
+    # under f = e^{j w t} the state settles to X z^k, z = e^{j w dt}, where
+    # z X = phi X + gamma_0 + gamma_h z^(1/2) + gamma_1 z; then Z = 1/X[v_e]
+    p, cfg = _PLANTS["linear"], _MAP_CONTROLLERS[kind]
+    want = measure_impedance(p, cfg, FrequencyGrid(np.array([0.3, 3.0, 10.0])), dt=DT)
+    phi, g0, gh, g1 = linear_model(p, cfg, DT)
+    for w, Z, bound in zip(want.grid.omegas, want.H, _PERIODIC_GAPS[kind]):
+        z = np.exp(1j * w * DT)
+        X = np.linalg.solve(z * np.eye(len(phi)) - phi, g0 + gh * np.sqrt(z) + g1 * z)
+        assert abs(Z * X[3] - 1.0) <= bound, w
+
+
 def test_stiff_linear_run_diverges_at_the_loops_step():
     p = replace(_PLANTS["linear"], m=1e-6)
-    linear_model(p, None, DT)  # the probes' unread second steps stay finite
+    linear_model(p, None, DT)  # the probe steps stay finite
     steps = []
     for run in (simulate, _loop):
         with pytest.raises(SimulationDivergedError) as err:
@@ -516,7 +546,7 @@ def test_stiff_linear_run_diverges_at_the_loops_step():
 
 
 def _map_radius(p):
-    return np.max(np.abs(np.linalg.eigvals(linear_model(p, None, DT)[0][:4, :4])))
+    return fluidsea.plant._modal_radius(linear_model(p, None, DT)[0])
 
 
 def test_unstable_linear_map_steps_the_loop(monkeypatch):
@@ -535,7 +565,7 @@ def test_unstable_linear_map_steps_the_loop(monkeypatch):
 
     monkeypatch.setattr(fluidsea.plant, "_run", counting_run)
     got = simulate(p, None, None, None, duration=1.0, dt=DT)
-    assert steps == [2] * 8 + [2000]  # the probes, then the loop
+    assert steps == [1] * 8 + [2000]  # the probes, then the loop
     for name in TRACE_COLUMNS:
         assert got.column(name).tobytes() == want.column(name).tobytes(), name
     assert not np.any(got.x_e)
