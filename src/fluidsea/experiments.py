@@ -20,7 +20,7 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -295,7 +295,7 @@ def _run_workloop(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
         if fit.on_sigma_bound:
             lines.append(f"dahl fit: sigma {fit.sigma:.1e} Nm/rad is its lower bound; "
                          "the Dahl model does not describe this loop")
-        lines.append("reference values: F_c 0.032 Nm, sigma 12.8 Nm/rad")
+        lines.append(f"reference values: F_c {_GRIPPER.F_c} Nm, sigma {_GRIPPER.sigma} Nm/rad")
     art.write_text("workloop_report.txt", "\n".join(lines) + "\n")
 
 
@@ -390,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> list[st
 # Config schema: one table per section drives parsing and serialization
 # ---------------------------------------------------------------------------
 
-_REQUIRED = object()
+_GRIPPER = PlantParams.gripper()
 _BOOL = (True, False)  # a bool is a choice; configparser's spellings map to it
 _ALIASES = {
     **configparser.ConfigParser.BOOLEAN_STATES,
@@ -405,7 +405,9 @@ class _Key(NamedTuple):
 
     kind: object = float            # float, int, str, a tuple of choices, or
                                     # {choice: _Group it builds}
-    default: object = _REQUIRED     # a value or a function of the plant
+    default: object = None          # a value or a function of the plant; None
+                                    # leaves the field's own default, and a key
+                                    # whose field has none is required
     attr: str | None = None         # the field filled, when not named like the key
     check: tuple = ()               # (test, text): a range no dataclass checks
     hz: str | None = None           # a second key giving the same value in Hz
@@ -422,14 +424,14 @@ class _Group(NamedTuple):
 
 _NONE = _Group(type(None), {})  # builds None
 _DOB = _Group(DOBConfig, {
-    "lambda": _Key(default=20.0, attr="lam", hz="lambda_hz"),
+    "lambda": _Key(attr="lam", hz="lambda_hz"),
     "m_n": _Key(default=lambda plant: plant.m),
-    "b_n": _Key(default=0.0),
-    "k_n": _Key(default=0.0),
+    "b_n": _Key(),
+    "k_n": _Key(),
 })
 _DAHL = _Group(DahlEstimate, {
-    "ff_F_c": _Key(default=lambda plant: plant.F_c or 0.032, attr="F_c"),
-    "ff_sigma": _Key(default=lambda plant: plant.sigma or 12.8, attr="sigma"),
+    "ff_F_c": _Key(default=lambda plant: plant.F_c or _GRIPPER.F_c, attr="F_c"),
+    "ff_sigma": _Key(default=lambda plant: plant.sigma or _GRIPPER.sigma, attr="sigma"),
 })
 _FEEDFORWARD = _Group(FeedforwardConfig, {
     "ff_b_e": _Key(default=lambda plant: plant.b_e, attr="b_e"),
@@ -440,14 +442,10 @@ _FEEDFORWARD = _Group(FeedforwardConfig, {
 })
 _CONTROLLERS = {
     "none": _NONE,
-    "proportional": _Group(ProportionalFFConfig, {"K_f": _Key(), "source": _Key(str, "internal")}),
+    "proportional": _Group(ProportionalFFConfig, {"K_f": _Key(), "source": _Key(str)}),
     "dob": _DOB,
-    "pd": _Group(PDConfig, {
-        "K_p": _Key(),
-        "K_d": _Key(),
-        "x_target": _Key(default=0.0),
-        "delay_samples": _Key(int, 0),
-    }),
+    "pd": _Group(PDConfig, {"K_p": _Key(), "K_d": _Key(), "x_target": _Key(),
+                            "delay_samples": _Key(int)}),
     "composite": _Group(CompositeConfig, {}, {"dob": _DOB, "feedforward": _FEEDFORWARD}),
 }
 _EXCITATIONS = {
@@ -461,21 +459,21 @@ _EXCITATIONS = {
     "sine": _Group(SineSpec, {"amplitude": _Key(), "omega": _Key()}),
     "constant": _Group(ConstantSpec, {"value": _Key()}),
 }
+_POSITIVE = (lambda v: v > 0, "must be > 0")
 _ANALYSIS = _Group(AnalysisSpec, {
-    "type": _Key(tuple(_RUNNERS), "simulate", attr="kind"),
-    "grid_min": _Key(default=0.1),
-    "grid_max": _Key(default=100.0),
-    "grid_points": _Key(int, 20),
-    "force_amplitude": _Key(default=0.1, check=(lambda v: v > 0, "must be > 0")),
-    "method": _Key(("measured", "closed_form"), "measured"),
-    "include_motor_port": _Key(_BOOL, False),
-    "fit_dahl": _Key(_BOOL, False),
-    "backdrive_omega": _Key(default=1.0, check=(lambda v: v > 0, "must be > 0")),
-    "backdrive_amplitude": _Key(default=0.5, check=(lambda v: v > 0, "must be > 0")),
+    "type": _Key(tuple(_RUNNERS), attr="kind"),
+    "grid_min": _Key(),
+    "grid_max": _Key(),
+    "grid_points": _Key(int),
+    "force_amplitude": _Key(check=_POSITIVE),
+    "method": _Key(("measured", "closed_form")),
+    "include_motor_port": _Key(_BOOL),
+    "fit_dahl": _Key(_BOOL),
+    "backdrive_omega": _Key(check=_POSITIVE),
+    "backdrive_amplitude": _Key(check=_POSITIVE),
     # n cycles give n - 1 upward crossings of x_e; the work loop needs three
-    "backdrive_cycles": _Key(int, 4, check=(lambda v: v >= 4, "must be >= 4")),
+    "backdrive_cycles": _Key(int, check=(lambda v: v >= 4, "must be >= 4")),
 })
-_GRIPPER = PlantParams.gripper()
 
 # Each section fills fields of ExperimentConfig. [plant] comes first: the
 # defaults of other sections are functions of the plant.
@@ -486,15 +484,15 @@ _SECTIONS = {
     "controller": _Group(dict, {"type": _Key(_CONTROLLERS, "none", attr="controller")}),
     "excitation": _Group(dict, {
         "type": _Key(_EXCITATIONS, "none", attr="excitation"),
-        "noise_std": _Key(default=0.0, check=(lambda v: v >= 0, "must be >= 0")),
+        "noise_std": _Key(check=(lambda v: v >= 0, "must be >= 0")),
     }),
     "analysis": _Group(dict, {}, {"analysis": _ANALYSIS}),
     "run": _Group(dict, {
-        "duration": _Key(default=10.0, check=(lambda v: v > 0, "must be > 0")),
-        "dt": _Key(default=DEFAULT_DT, check=(lambda v: 0 < v <= 1e-2, "must lie in (0, 1e-2]")),
-        "seed": _Key(int, 1),
-        "output_dir": _Key(str, "out"),
-        "allow_nyquist": _Key(_BOOL, True),
+        "duration": _Key(check=_POSITIVE),
+        "dt": _Key(check=(lambda v: 0 < v <= 1e-2, "must lie in (0, 1e-2]")),
+        "seed": _Key(int),
+        "output_dir": _Key(str),
+        "allow_nyquist": _Key(_BOOL),
     }),
 }
 
@@ -528,35 +526,47 @@ class _SectionReader:
             raise self.error(f"{name} must be {what}, got {raw!r}") from None
         return value
 
-    def value(self, name: str, key: _Key):
-        self.taken.update(filter(None, (name, key.hz)))
-        raw, hz = self.values.get(name), key.hz and self.values.get(key.hz)
-        if raw is not None and hz is not None:
-            raise self.error(f"give {name} (rad/s) or {key.hz} (Hz), not both")
-        if hz is not None:
-            value = TWO_PI * self.convert(key.hz, key, hz)
-        elif raw is not None:
-            value = self.convert(name, key, raw)
-        elif key.default is _REQUIRED:
-            raise self.error(f"missing required key {name!r}")
-        else:
-            value = key.default(self.plant) if callable(key.default) else key.default
-        if key.check and not key.check[0](value):  # a plant-derived default too
-            raise self.error(f"{name} {key.check[1]}")
-        if not isinstance(key.kind, dict):
-            return value
-        self.chosen.append(f"{name} = {value}")
-        return self.build(key.kind[value])
+    def field_values(self, group: _Group):
+        """(field, value) for each key given or defaulted by the table; a key
+        left out leaves its field's own default."""
+        for name, key in group.keys.items():
+            self.taken.update(filter(None, (name, key.hz)))
+            raw, hz = self.values.get(name), key.hz and self.values.get(key.hz)
+            if raw is not None and hz is not None:
+                raise self.error(f"give {name} (rad/s) or {key.hz} (Hz), not both")
+            if hz is not None:
+                value = TWO_PI * self.convert(key.hz, key, hz)
+            elif raw is not None:
+                value = self.convert(name, key, raw)
+            elif key.default is not None:
+                value = key.default(self.plant) if callable(key.default) else key.default
+            elif (key.attr or name) in _required(group.cls):
+                raise self.error(f"missing required key {name!r}")
+            else:
+                continue
+            if key.check and not key.check[0](value):
+                given, written = (key.hz, hz) if hz is not None else (name, raw)
+                raise self.error(f"{given} {key.check[1]}, got {written or value}")
+            if isinstance(key.kind, dict):
+                self.chosen.append(f"{name} = {value}")
+                value = self.build(key.kind[value])
+            yield key.attr or name, value
 
     def build(self, group: _Group):
-        kwargs = {key.attr or name: self.value(name, key) for name, key in group.keys.items()}
+        kwargs = dict(self.field_values(group))
         kwargs.update((attr, self.build(part)) for attr, part in group.parts.items())
         try:
             return group.cls(**kwargs)
-        except ValueError as exc:  # a field's check, named as its key
+        except ValueError as exc:  # a field's check, named as the key and value written
             field, sep, text = str(exc).partition(" ")
-            keys = {key.attr: name for name, key in group.keys.items() if key.attr}
-            raise self.error(keys.get(field, field) + sep + text) from exc
+            for name, key in group.keys.items():
+                if (key.attr or name) == field:
+                    field = key.hz if key.hz and key.hz in self.values else name
+                    break
+            head, got, _ = text.rpartition(", got ")
+            if got and field in self.values:
+                text = head + got + self.values[field]
+            raise self.error(field + sep + text) from exc
 
     def read(self, group: _Group) -> dict:
         kwargs = self.build(group)
@@ -565,6 +575,13 @@ class _SectionReader:
                 chosen = f" with {', '.join(self.chosen)}" if self.chosen else ""
                 raise self.error(f"unknown key {name!r}{chosen}; allowed: {sorted(self.taken)}")
         return kwargs
+
+
+def _required(cls) -> set[str]:
+    """The fields of ``cls`` without a default; a section's ``dict`` fills
+    ExperimentConfig."""
+    return {f.name for f in fields(ExperimentConfig if cls is dict else cls)
+            if f.default is MISSING and f.default_factory is MISSING}
 
 
 def _flatten(obj, group: _Group) -> dict[str, str]:
@@ -623,57 +640,37 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 # Presets: one per reproduced figure pipeline
 # ---------------------------------------------------------------------------
 
-LAMBDA_20_RAD = 20.0
-LAMBDA_20_HZ = TWO_PI * 20.0  # the text's cutoff reading; reproduces the
-                              # reported quasi-static compensation quality
-
-_CHIRP = ChirpSpec(amplitude=0.3, f0=0.01, f1=1000.0, duration=600.0)
-
-
-def _preset(controller=None, excitation=None, **analysis) -> ExperimentConfig:
-    return ExperimentConfig(plant=_GRIPPER, controller=controller, excitation=excitation,
-                            analysis=AnalysisSpec(**analysis))
-
-
-def _composite(lam: float, include_dahl: bool) -> CompositeConfig:
-    return CompositeConfig(
-        dob=DOBConfig.inertial(_GRIPPER.m, lam),
-        feedforward=FeedforwardConfig.from_params(_GRIPPER, include_dahl=include_dahl),
-    )
-
-
-# name -> (config, one-line description)
+# name -> (config text, one-line description); preset_config reads the text
+# with parse_config, as it reads a user's file, on the identified gripper plant
 _PRESETS = {
     "fig3-chirp": (
-        _preset(excitation=_CHIRP, kind="simulate"),
-        "passive chirp backdrive trace for identification",
-    ),
+        "[excitation]\ntype = chirp\n[analysis]\ntype = simulate",
+        "passive chirp backdrive trace for identification"),
     "fig4-sysid": (
-        _preset(excitation=_CHIRP, kind="sysid"),
-        "chirp identification: sub-plant FRFs, fits, parameters",
-    ),
+        "[excitation]\ntype = chirp\n[analysis]\ntype = sysid",
+        "chirp identification: sub-plant FRFs, fits, parameters"),
     "fig5-ff-compare": (
-        _preset(kind="impedance", method="closed_form", grid_min=1e-2, grid_max=1e3,
-                grid_points=181),
-        "closed-form endpoint impedance: passive vs internal vs external feedback",
-    ),
+        "[analysis]\ntype = impedance\nmethod = closed_form\n"
+        "grid_min = 1e-2\ngrid_max = 1e3\ngrid_points = 181",
+        "closed-form endpoint impedance: passive vs internal vs external feedback"),
     "fig6a-workloop": (
-        _preset(DOBConfig.inertial(_GRIPPER.m, LAMBDA_20_RAD), kind="workloop"),
-        "quasi-static work loops, passive vs observer",
-    ),
+        "[controller]\ntype = dob\nlambda = 20\n[analysis]\ntype = workloop",
+        "quasi-static work loops, passive vs observer"),
     "fig6b-feedforward": (
-        _preset(_composite(LAMBDA_20_HZ, include_dahl=True), kind="workloop"),
-        "work loops under observer plus full friction feedforward",
-    ),
+        # lambda_hz = 20 is the text's cutoff reading; it reproduces the
+        # reported quasi-static compensation quality
+        "[controller]\ntype = composite\nlambda_hz = 20\nff_dahl = true\n"
+        "[analysis]\ntype = workloop",
+        "work loops under observer plus full friction feedforward"),
     "fig6c-zwidth": (
-        _preset(_composite(LAMBDA_20_RAD, include_dahl=True), kind="zwidth",
-                grid_min=0.1, grid_max=100.0, grid_points=25, include_motor_port=True),
-        "rendered impedance range against the stiff PD hold",
-    ),
+        "[controller]\ntype = composite\nlambda = 20\nff_dahl = true\n"
+        "[analysis]\ntype = zwidth\ngrid_min = 0.1\ngrid_max = 100\ngrid_points = 25\n"
+        "include_motor_port = true",
+        "rendered impedance range against the stiff PD hold"),
     "fig7-dahl-fit": (
-        _preset(_composite(LAMBDA_20_HZ, include_dahl=False), kind="workloop", fit_dahl=True),
-        "hysteresis-model fit of the residual external loop",
-    ),
+        "[controller]\ntype = composite\nlambda_hz = 20\nff_dahl = false\n"
+        "[analysis]\ntype = workloop\nfit_dahl = true",
+        "hysteresis-model fit of the residual external loop"),
 }
 
 
@@ -685,7 +682,7 @@ def presets() -> dict[str, str]:
 def preset_config(name: str) -> ExperimentConfig:
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(_PRESETS)}")
-    return _PRESETS[name][0]
+    return parse_config(_PRESETS[name][0])
 
 
 def run_preset(name: str, out_dir: str, dt: float | None = None,

@@ -149,7 +149,7 @@ class PassivityReport:
     min_real_part: tuple  # (omega_at_min, min Re Y over candidates)
     verdict: str          # "passive" | "non-passive"
     first_violation: str | None
-    sweep: tuple | None = None  # (omegas, Re Y) for reporting
+    sweep: tuple          # (omegas, Re Y) for reporting
 
     def to_text(self) -> str:
         lines = [
@@ -165,8 +165,6 @@ class PassivityReport:
         return "\n".join(lines)
 
     def sweep_csv(self, path) -> None:
-        if self.sweep is None:
-            raise ValueError("report carries no sweep data")
         omegas, re_y = self.sweep
         write_csv(path, "omega,re_Y", [omegas, re_y])
 

@@ -79,11 +79,9 @@ TRACE_COLUMNS = ("t", "x", "v", "x_e", "v_e", "F_p", "F_e", "F_a", "F_d", "F_cmp
 class SimulationDivergedError(RuntimeError):
     """Simulation produced a non-finite or unbounded state."""
 
-    def __init__(self, step_index: int, message: str = ""):
+    def __init__(self, step_index: int):
         self.step_index = step_index
-        super().__init__(
-            message or f"simulation diverged at step {step_index}"
-        )
+        super().__init__(f"simulation diverged at step {step_index}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ import fluidsea
 from fluidsea.cli import main
 from fluidsea.controllers import CompositeConfig, DOBConfig, ProportionalFFConfig
 from fluidsea.experiments import (
+    _SECTIONS,
     ArtifactWriter,
     ConfigError,
+    ExperimentConfig,
     parse_config,
     preset_config,
     presets,
@@ -104,6 +108,36 @@ class TestConfigParsing:
     def test_dt_domain(self):
         with pytest.raises(ConfigError, match="dt"):
             parse_config("[run]\ndt = 0.5\n")
+
+    def test_table_defaults_do_not_restate_a_field(self):
+        # a key without a table default leaves its field's own default; the
+        # [plant] defaults are the gripper's values, not restated field defaults
+        restated = set()
+
+        def walk(section, group):
+            cls = ExperimentConfig if group.cls is dict else group.cls
+            own = {f.name: f.default for f in dataclasses.fields(cls)} if group.keys else {}
+            for name, key in group.keys.items():
+                attr = key.attr or name
+                if not callable(key.default) and attr in own and key.default == own[attr]:
+                    restated.add(f"[{section}] {name}")
+                for part in key.kind.values() if isinstance(key.kind, dict) else ():
+                    walk(section, part)
+            for part in group.parts.values():
+                walk(section, part)
+
+        for section, group in _SECTIONS.items():
+            if section != "plant":
+                walk(section, group)
+        assert restated == set()
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        cfg = parse_config(blocks[0])
+        assert isinstance(cfg.controller, CompositeConfig)
+        assert cfg.analysis.kind == "sysid"
 
 
 def _floats(lo, hi):
@@ -459,6 +493,10 @@ duration = 5
             ("[controller]\ntype = composite\nff_F_c = -1\n", "ff_F_c must be > 0, got -1"),
             ("[controller]\ntype = composite\nff_k_s = 0\n", "ff_k_s must be > 0, got 0"),
             ("[controller]\ntype = dob\nlambda = -3\n", "lambda must be > 0, got -3"),
+            # the key and the value as the file wrote them, not the rad/s field
+            ("[controller]\ntype = dob\nlambda_hz = -3\n", "lambda_hz must be > 0, got -3"),
+            ("[controller]\ntype = pd\nK_p = 1\n", "missing required key 'K_d'"),
+            ("[run]\nduration = -1\n", "duration must be > 0, got -1"),  # a table's own check
             ("[analysis]\ngrid_points = 0\n", "grid_points must be >= 1, got 0"),
         ],
     )

@@ -19,6 +19,7 @@ from fluidsea.controllers import (
 )
 from fluidsea.impedance import measure_impedance, snap_omega
 from fluidsea.lti import FrequencyGrid
+from fluidsea.passivity import endpoint_impedance
 from fluidsea.plant import (
     TRACE_COLUMNS,
     PlantParams,
@@ -521,17 +522,32 @@ _PERIODIC_GAPS = {
 }
 
 
+def _periodic_impedance(p, cfg, w, dt):
+    """Z = 1/X[v_e] of the map's periodic steady state under f = e^{j w t}:
+    the state settles to X z^k, z = e^{j w dt}, where
+    z X = phi X + gamma_0 + gamma_h z^(1/2) + gamma_1 z."""
+    phi, g0, gh, g1 = linear_model(p, cfg, dt)
+    z = np.exp(1j * w * dt)
+    return 1.0 / np.linalg.solve(z * np.eye(len(phi)) - phi, g0 + gh * np.sqrt(z) + g1 * z)[3]
+
+
 @pytest.mark.parametrize("kind", list(_PERIODIC_GAPS))
 def test_linear_model_periodic_steady_state_equals_the_sweep(kind):
-    # under f = e^{j w t} the state settles to X z^k, z = e^{j w dt}, where
-    # z X = phi X + gamma_0 + gamma_h z^(1/2) + gamma_1 z; then Z = 1/X[v_e]
     p, cfg = _PLANTS["linear"], _MAP_CONTROLLERS[kind]
     want = measure_impedance(p, cfg, FrequencyGrid(np.array([0.3, 3.0, 10.0])), dt=DT)
-    phi, g0, gh, g1 = linear_model(p, cfg, DT)
     for w, Z, bound in zip(want.grid.omegas, want.H, _PERIODIC_GAPS[kind]):
-        z = np.exp(1j * w * DT)
-        X = np.linalg.solve(z * np.eye(len(phi)) - phi, g0 + gh * np.sqrt(z) + g1 * z)
-        assert abs(Z * X[3] - 1.0) <= bound, w
+        assert abs(Z / _periodic_impedance(p, cfg, w, DT) - 1.0) <= bound, w
+
+
+@pytest.mark.parametrize("w", [3.0, 10.0])
+@pytest.mark.parametrize("kind", ["dob", "dob_hz", "composite"])
+def test_sampled_data_gap_is_first_order_in_dt(kind, w):
+    # the dB gap between the sampled loop and the continuous closed form
+    # halves with dt: it is the sampling, not a modelling error
+    p, cfg = _PLANTS["linear"], _MAP_CONTROLLERS[kind]
+    Z = abs(endpoint_impedance(p, cfg).eval(w))
+    gaps = [20.0 * math.log10(abs(_periodic_impedance(p, cfg, w, dt)) / Z) for dt in (DT, DT / 2)]
+    assert 1.9 <= gaps[0] / gaps[1] <= 2.1, gaps
 
 
 def test_stiff_linear_run_diverges_at_the_loops_step():

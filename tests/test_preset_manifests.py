@@ -1,4 +1,5 @@
-"""The fast presets' artifacts, and a short Z-width sweep's, pinned byte for byte.
+"""The fast presets' artifacts, and a short Z-width sweep's and chirp trace's,
+pinned byte for byte.
 
 Each run writes into a temporary directory, and its ``manifest.txt`` (the
 SHA-256 of every artifact) must equal the golden copy under
@@ -53,3 +54,18 @@ def test_zwidth_short_manifest_matches_golden(tmp_path):
     run_experiment(parse_config(ZWIDTH_SHORT), str(tmp_path))
     produced = (tmp_path / "manifest.txt").read_text()
     assert produced == (GOLDEN / "zwidth-short.txt").read_text()
+
+
+# 4,000 steps of the hysteretic gripper under a force source, on the chirp
+# and [run] defaults: the trace a config that names no other key writes.
+SIMULATE_SHORT = """[excitation]
+type = chirp
+f1 = 200
+duration = 2
+"""
+
+
+def test_simulate_short_manifest_matches_golden(tmp_path):
+    run_experiment(parse_config(SIMULATE_SHORT), str(tmp_path))
+    produced = (tmp_path / "manifest.txt").read_text()
+    assert produced == (GOLDEN / "simulate-chirp-short.txt").read_text()
