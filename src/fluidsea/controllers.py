@@ -93,11 +93,6 @@ class DOBConfig:
         if self.lam <= 0:
             raise ValueError(f"lam must be > 0, got {self.lam:.6g}")
 
-    @classmethod
-    def inertial(cls, m_n: float, lam: float = 20.0) -> "DOBConfig":
-        """Frictionless nominal plant P_n = 1/(m_n s)."""
-        return cls(lam=lam, m_n=m_n, b_n=0.0, k_n=0.0)
-
 
 @dataclass(frozen=True)
 class PDConfig:
@@ -155,15 +150,6 @@ class FeedforwardConfig:
         for name in ("b_e", "k_e"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name):.6g}")
-
-    @classmethod
-    def from_params(cls, params, include_dahl: bool = True) -> "FeedforwardConfig":
-        dahl = None
-        if include_dahl and params.F_c > 0 and params.sigma > 0:
-            dahl = DahlEstimate(F_c=params.F_c, sigma=params.sigma)
-        return cls(
-            b_e=params.b_e, k_e=params.k_e, b_s=params.b_s, k_s=params.k_s, dahl=dahl
-        )
 
 
 @dataclass(frozen=True)

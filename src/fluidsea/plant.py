@@ -334,11 +334,17 @@ def _run_linear(model, params, ctrl, fe_fn, fref_fn, steps, dt, s0) -> SimTrace:
 
     x, v, x_e, v_e, f_d = S[:, :steps]
     F_p = _line_force(params, x, v, x_e, v_e)
-    # a runtime that is no control law returns 0.0 from step, the held part of F_a
-    F_a = 0.0 + ctrl.stage_gain_internal * F_p + ctrl.stage_gain_external * F_e
+    # A runtime that is no control law returns 0.0 from step, the held part
+    # of F_a, and has no feedforward, so its F_cmp is 0.0. F_a is formed a
+    # block at a time, as F_p is, so its temporaries stay small.
+    gi, ge = ctrl.stage_gain_internal, ctrl.stage_gain_external
+    F_a = np.empty(steps)
+    for lo in range(0, steps, _SAMPLE_BLOCK):
+        hi = lo + _SAMPLE_BLOCK
+        F_a[lo:hi] = 0.0 + gi * F_p[lo:hi] + ge * F_e[lo:hi]
     return SimTrace(
         dt=dt, t=t, x=x, v=v, x_e=x_e, v_e=v_e, F_p=F_p, F_e=F_e, F_a=F_a, F_d=f_d,
-        F_cmp=np.full(steps, ctrl.last_f_cmp), F_ref=F_ref,
+        F_cmp=np.zeros(steps), F_ref=F_ref,
     )
 
 

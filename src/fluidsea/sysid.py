@@ -168,8 +168,10 @@ def estimate_frf(
     fy = np.fft.rfft(y, nfft)
     size = 2 * max_lag + 1
     seqs = np.empty((3, size))
-    for row, spectrum in zip(seqs, (fu * fu.conj(), fy * fu.conj(), fy * fy.conj())):
-        full = np.fft.irfft(spectrum, nfft) / n
+    # each product is formed only for its own irfft, so one is held at a time
+    for row, (a, b) in zip(seqs, ((fu, fu), (fy, fu), (fy, fy))):
+        full = np.fft.irfft(a * b.conj(), nfft)
+        full /= n
         row[:max_lag] = full[nfft - max_lag:]
         row[max_lag:] = full[: max_lag + 1]
 
@@ -466,22 +468,22 @@ def run_sysid(
     recorded signals) is drawn from the supplied deterministic generator.
     The chirp is not checked against the sampling rate here: the caller
     does that, with :meth:`ChirpSpec.validate_sampling`.
+
+    Only the four measured columns outlive the simulation, and the noise is
+    added to them in place, drawn in the order x, x_e, F_p, F_e: the
+    spectra run with four records held, not the whole trace.
     """
+    if noise_std > 0.0 and rng is None:
+        raise ValueError("noise injection requires a generator")
     grid = default_grid()
     trace = simulate(params, None, spec, None, duration=spec.duration, dt=dt)
-
-    def measured(name):
-        sig = trace.column(name).copy()
-        if noise_std > 0.0:
-            if rng is None:
-                raise ValueError("noise injection requires a generator")
+    measured = [trace.column(name) for name in ("x", "x_e", "F_p", "F_e")]
+    del trace  # its other columns go before the copies are made
+    x, x_e, f_p, f_e = (sig.copy() for sig in measured)
+    del measured  # and with it the state record that x and x_e view
+    if noise_std > 0.0:
+        for sig in (x, x_e, f_p, f_e):
             sig += noise_std * rng.normal_array(sig.size)
-        return sig
-
-    x = measured("x")
-    x_e = measured("x_e")
-    f_p = measured("F_p")
-    f_e = measured("F_e")
 
     motor_frf = estimate_frf(f_p, x, dt, grid)
     finger_frf = estimate_frf(f_e - f_p, x_e, dt, grid)

@@ -27,7 +27,6 @@ import pytest
 from fluidsea.controllers import (
     CompositeConfig,
     DOBConfig,
-    FeedforwardConfig,
     ProportionalFFConfig,
 )
 from fluidsea.impedance import (
@@ -43,6 +42,8 @@ from fluidsea.passivity import check_passive, dob_admittance, endpoint_impedance
 from fluidsea.plant import simulate
 from fluidsea.signals import ChirpSpec, SineSpec
 from fluidsea.sysid import run_sysid
+
+from conftest import feedforward
 
 DT = 1.0 / 2000.0
 LAM_RAD = 20.0
@@ -209,10 +210,10 @@ def test_criterion_4_dob_impedance_reduction(gripper, gripper_linear, reduction_
     p = gripper
     passive = measure_impedance(p, None, reduction_grid, dt=DT)
     dob_rad = measure_impedance(
-        p, DOBConfig.inertial(p.m, LAM_RAD), reduction_grid, dt=DT
+        p, DOBConfig(lam=LAM_RAD, m_n=p.m), reduction_grid, dt=DT
     )
     red_rad = 20 * np.log10(np.abs(passive.H) / np.abs(dob_rad.H))
-    dob_hz = measure_impedance(p, DOBConfig.inertial(p.m, LAM_HZ), reduction_grid, dt=DT)
+    dob_hz = measure_impedance(p, DOBConfig(lam=LAM_HZ, m_n=p.m), reduction_grid, dt=DT)
     red_hz = 20 * np.log10(np.abs(passive.H) / np.abs(dob_hz.H))
 
     print("\n  omega [rad/s]   reduction @20 rad/s   reduction @20 Hz")
@@ -221,7 +222,7 @@ def test_criterion_4_dob_impedance_reduction(gripper, gripper_linear, reduction_
 
     # the 20 rad/s reading against its closed form, linear plant, 10 rad/s
     lin = gripper_linear
-    dob_lin = DOBConfig.inertial(lin.m, LAM_RAD)
+    dob_lin = DOBConfig(lam=LAM_RAD, m_n=lin.m)
     top = FrequencyGrid(np.array([10.0]))
     lin_passive = measure_impedance(lin, None, top, dt=DT)
     lin_dob = measure_impedance(lin, dob_lin, top, dt=DT)
@@ -262,7 +263,7 @@ def test_criterion_5_feedforward_cancellation(gripper):
 
     def loop_amp(lam):
         ctrl = CompositeConfig(
-            DOBConfig.inertial(p.m, lam), FeedforwardConfig.from_params(p)
+            DOBConfig(lam=lam, m_n=p.m), feedforward(p)
         )
         tr = quasi_static_backdrive(p, ctrl, omega=1.0, amplitude=0.5, dt=DT)
         return half_spread_over(work_loop(tr, "F_e"), -0.2, 0.2)
@@ -319,8 +320,8 @@ def test_criterion_7_zwidth(gripper):
     t0 = time.time()
     p = gripper
     pd_cfg = max_stable_pd(p, dt=DT)
-    min_dob = DOBConfig.inertial(p.m, LAM_RAD)
-    min_ctrl = CompositeConfig(min_dob, FeedforwardConfig.from_params(p))
+    min_dob = DOBConfig(lam=LAM_RAD, m_n=p.m)
+    min_ctrl = CompositeConfig(min_dob, feedforward(p))
     grid = FrequencyGrid(np.array([3.0, 10.0]))
     z_min = measure_impedance(p, min_ctrl, grid, dt=DT)
     z_max = measure_impedance(p, pd_cfg, grid, dt=DT)

@@ -32,12 +32,15 @@ assert steps == n > 0, (steps, n)
 assert m["signals.eval.calls"] > 0
 
 # every controller step is counted: a runtime's step must stay a method of its class
-from fluidsea.controllers import CompositeConfig, DOBConfig, FeedforwardConfig, PDConfig
+from fluidsea.controllers import CompositeConfig, DahlEstimate, DOBConfig, FeedforwardConfig, PDConfig
 g = plant.PlantParams.gripper()
 for kind, cfg in (
-    ("dob", DOBConfig.inertial(g.m)),
+    ("dob", DOBConfig(m_n=g.m)),
     ("pd", PDConfig(K_p=88.4, K_d=1.768, delay_samples=1)),
-    ("composite", CompositeConfig(DOBConfig.inertial(g.m), FeedforwardConfig.from_params(g))),
+    ("composite", CompositeConfig(
+        DOBConfig(m_n=g.m),
+        FeedforwardConfig(g.b_e, g.k_e, g.b_s, g.k_s, DahlEstimate(g.F_c, g.sigma)),
+    )),
 ):
     tracer.reset()
     n = len(plant.simulate(g, cfg, 0.1, None, duration=0.01))

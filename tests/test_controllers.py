@@ -20,6 +20,8 @@ from fluidsea.passivity import nominal_bounds
 from fluidsea.plant import PlantParams, simulate
 from fluidsea.signals import SineSpec
 
+from conftest import feedforward
+
 DT = 1.0 / 2000.0
 
 
@@ -122,7 +124,7 @@ class TestDOB:
             b_s=9.2453e-3, k_s=13.0782,
         )
         grid = FrequencyGrid(np.array([0.2, 1.0, 5.0]))  # up to lambda/4
-        fr = measure_impedance(p, DOBConfig.inertial(p.m, lam), grid, port="motor")
+        fr = measure_impedance(p, DOBConfig(lam=lam, m_n=p.m), grid, port="motor")
         for w, z in zip(fr.omegas, fr.H):
             y_meas = 1.0 / z
             y_nominal = 1.0 / (1j * w * p.m)
@@ -145,7 +147,7 @@ class TestDOB:
             ctrl.step(float("nan"), 0.0, 0.0, 0.0)
 
     def test_determinism(self, gripper):
-        cfg = DOBConfig.inertial(gripper.m, 20.0)
+        cfg = DOBConfig(lam=20.0, m_n=gripper.m)
         fe = SineSpec(0.1, 3.0)
         a = simulate(gripper, cfg, fe, None, duration=2.0, dt=DT)
         b = simulate(gripper, cfg, fe, None, duration=2.0, dt=DT)
@@ -184,7 +186,7 @@ def _feedforward(cfg):
 
 class TestFeedforward:
     def test_rest_gives_zero(self, gripper):
-        step = _feedforward(FeedforwardConfig.from_params(gripper))
+        step = _feedforward(feedforward(gripper))
         for _ in range(100):
             out = step(0.0, 0.0)
         assert out == 0.0
@@ -193,7 +195,7 @@ class TestFeedforward:
         # motor clamped, constant line force F_p = k_s x_e: the compensation
         # settles to k_e x_e (DC gain of the line-force branch is k_e / k_s)
         p = gripper
-        step = _feedforward(FeedforwardConfig.from_params(p, include_dahl=False))
+        step = _feedforward(feedforward(p, dahl=False))
         x_e = 0.1
         for _ in range(int(2.0 / DT)):
             out = step(p.k_s * x_e, 0.0)
@@ -247,7 +249,7 @@ def _reference_feedforward(cfg, dt, samples):
 
 @pytest.mark.parametrize("include_dahl", [True, False])
 def test_feedforward_equals_discrete_filter_reference(gripper, include_dahl):
-    cfg = FeedforwardConfig.from_params(gripper, include_dahl=include_dahl)
+    cfg = feedforward(gripper, dahl=include_dahl)
     assert (cfg.dahl is not None) == include_dahl
     rng = np.random.default_rng(11)
     samples = list(zip(rng.uniform(-1.0, 1.0, 10_000).tolist(),
@@ -324,7 +326,7 @@ def test_dob_equals_reference(gripper, seed):
 def test_composite_equals_reference(gripper, include_dahl):
     cfg = CompositeConfig(
         DOBConfig(lam=125.0, m_n=gripper.m, b_n=0.5 * gripper.b, k_n=0.01),
-        FeedforwardConfig.from_params(gripper, include_dahl=include_dahl),
+        feedforward(gripper, dahl=include_dahl),
     )
     samples = _random_samples(7)
     f_cmp = _reference_feedforward(cfg.feedforward, DT, [(F_p, v) for F_p, v, _, _ in samples])
@@ -342,7 +344,7 @@ def test_composite_equals_reference(gripper, include_dahl):
 
 class TestComposite:
     def test_zero_compensation_reduces_to_plain_dob(self, gripper):
-        dob_cfg = DOBConfig.inertial(gripper.m, 20.0)
+        dob_cfg = DOBConfig(lam=20.0, m_n=gripper.m)
         ff_cfg = FeedforwardConfig(b_e=0.0, k_e=0.0, b_s=1e-6, k_s=1.0, dahl=None)
         comp = make_controller(CompositeConfig(dob_cfg, ff_cfg), DT)
         dob = make_controller(dob_cfg, DT)
@@ -356,7 +358,7 @@ class TestComposite:
     @pytest.mark.parametrize("slot", range(4))
     def test_non_finite_input_rejected(self, gripper, slot, bad):
         # as the observer alone rejects them
-        cfg = CompositeConfig(DOBConfig.inertial(gripper.m, 20.0), FeedforwardConfig.from_params(gripper))
+        cfg = CompositeConfig(DOBConfig(lam=20.0, m_n=gripper.m), feedforward(gripper))
         for ctrl in (make_controller(cfg, DT), make_controller(cfg.dob, DT)):
             ctrl.step(0.01, 0.02, 0.003, 0.0)
             args = [0.01, 0.02, 0.003, 0.0]

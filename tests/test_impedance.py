@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluidsea.impedance
-from fluidsea.controllers import CompositeConfig, DOBConfig, FeedforwardConfig, PDConfig
+from fluidsea.controllers import CompositeConfig, DOBConfig, PDConfig
 from fluidsea.experiments import preset_config
 from fluidsea.impedance import (
     _PD_BACKOFF,
@@ -38,6 +38,8 @@ from fluidsea.plant import (
 )
 from fluidsea.signals import SineMotionSpec
 from fluidsea.sysid import FrequencyResponse
+
+from conftest import feedforward
 
 DT = 1.0 / 2000.0
 LAM_HZ = 2.0 * math.pi * 20.0
@@ -203,7 +205,7 @@ class TestMeasureImpedance:
     ):
         import fluidsea.impedance as imp
 
-        dob = DOBConfig.inertial(gripper.m, 20.0)
+        dob = DOBConfig(lam=20.0, m_n=gripper.m)
         grid = FrequencyGrid(np.array([2.0, 20.0]))
         monkeypatch.setattr(imp, "_DRIFT_TOL", drift_tol)
         calls = []
@@ -240,7 +242,7 @@ class TestMeasureImpedance:
         # raises it by more than a few dB at high frequency
         p = gripper
         comp = CompositeConfig(
-            DOBConfig.inertial(p.m, 20.0), FeedforwardConfig.from_params(p)
+            DOBConfig(lam=20.0, m_n=p.m), feedforward(p)
         )
         grid = FrequencyGrid(np.array([0.2, 50.0, 100.0]))
         passive = measure_impedance(p, None, grid)
@@ -302,7 +304,7 @@ class TestWorkLoop:
         # passive internal loop reflects motor friction
         assert li_passive.amplitude > 0.005
         dob = quasi_static_backdrive(
-            gripper, DOBConfig.inertial(gripper.m, LAM_HZ)
+            gripper, DOBConfig(lam=LAM_HZ, m_n=gripper.m)
         )
         li_dob = work_loop(dob, "F_p")
         le_dob = work_loop(dob, "F_e")
@@ -334,9 +336,9 @@ class TestWorkLoop:
 
 _BACKDRIVE_CONTROLLERS = {
     "none": lambda p: None,
-    "dob": lambda p: DOBConfig.inertial(p.m, LAM_HZ),
+    "dob": lambda p: DOBConfig(lam=LAM_HZ, m_n=p.m),
     "composite": lambda p: CompositeConfig(
-        DOBConfig.inertial(p.m, LAM_HZ), FeedforwardConfig.from_params(p, include_dahl=True)
+        DOBConfig(lam=LAM_HZ, m_n=p.m), feedforward(p, dahl=True)
     ),
 }
 
@@ -414,8 +416,8 @@ class TestFitDahl:
         # linear part compensated, Dahl left in: the residual external loop
         # is the hysteresis element, recoverable within 10%
         comp = CompositeConfig(
-            DOBConfig.inertial(gripper.m, LAM_HZ),
-            FeedforwardConfig.from_params(gripper, include_dahl=False),
+            DOBConfig(lam=LAM_HZ, m_n=gripper.m),
+            feedforward(gripper, dahl=False),
         )
         tr = quasi_static_backdrive(gripper, comp)
         fit = fit_dahl(work_loop(tr, "F_e"))

@@ -23,6 +23,8 @@ from fluidsea.passivity import (
 )
 from fluidsea.plant import PlantParams
 
+from conftest import feedforward
+
 LAM = 20.0
 
 
@@ -363,7 +365,7 @@ class TestPortModel:
         # separates the sweep from the closed form; the sampled controllers
         # add the first-order sampled-data gap of the 2 kHz loop
         p = gripper_linear
-        dob_rad = DOBConfig.inertial(p.m, LAM)
+        dob_rad = DOBConfig(lam=LAM, m_n=p.m)
         analog, sampled = (1e-5, 1e-4), (0.02, 0.2)  # dB, degrees
         cases = [
             (None, analog),
@@ -371,8 +373,8 @@ class TestPortModel:
             (proportional(1.0, "external"), analog),
             (PDConfig(K_p=88.4, K_d=1.768), sampled),
             (dob_rad, sampled),
-            (DOBConfig.inertial(p.m, 2 * math.pi * 20.0), sampled),
-            (CompositeConfig(dob_rad, FeedforwardConfig.from_params(p)), sampled),
+            (DOBConfig(lam=2 * math.pi * 20.0, m_n=p.m), sampled),
+            (CompositeConfig(dob_rad, feedforward(p)), sampled),
         ]
         grid = FrequencyGrid(np.array([0.3, 3.0, 10.0]))
         for ctrl, (tol_db, tol_deg) in cases:

@@ -12,7 +12,6 @@ import fluidsea.plant
 from fluidsea.controllers import (
     CompositeConfig,
     DOBConfig,
-    FeedforwardConfig,
     PDConfig,
     ProportionalFFConfig,
     make_controller,
@@ -32,6 +31,8 @@ from fluidsea.plant import (
 from fluidsea.signals import as_signal
 from fluidsea.signals import ChirpSpec, ConstantSpec, SineMotionSpec, SineSpec
 from fluidsea.sysid import estimate_frf
+
+from conftest import feedforward
 
 DT = 1.0 / 2000.0
 
@@ -265,16 +266,16 @@ def _reference_backdriven(params, controller, motion, duration, dt=DT, f_ref=Non
 
 
 def _backdrive_controllers(m):
-    dob = DOBConfig.inertial(m, 2.0 * math.pi * 20.0)
+    dob = DOBConfig(lam=2.0 * math.pi * 20.0, m_n=m)
     return {
         "passive": None,
         "dob": dob,
         "pd": PDConfig(K_p=20.0, K_d=0.4, delay_samples=1),
         "composite_dahl": CompositeConfig(
-            dob, FeedforwardConfig.from_params(PlantParams.gripper(), include_dahl=True)
+            dob, feedforward(PlantParams.gripper(), dahl=True)
         ),
         "composite": CompositeConfig(
-            dob, FeedforwardConfig.from_params(PlantParams.gripper(), include_dahl=False)
+            dob, feedforward(PlantParams.gripper(), dahl=False)
         ),
         "internal": ProportionalFFConfig(0.5, "internal"),
         "external": ProportionalFFConfig(0.5, "external"),
@@ -438,14 +439,14 @@ def test_linear_model_rejects_dt_as_simulate_does(fn, dt):
 
 _MAP_CONTROLLERS = {
     **_STATELESS,
-    "dob": DOBConfig.inertial(PlantParams.gripper().m, 20.0),
-    "dob_hz": DOBConfig.inertial(PlantParams.gripper().m, 2.0 * math.pi * 20.0),
+    "dob": DOBConfig(lam=20.0, m_n=PlantParams.gripper().m),
+    "dob_hz": DOBConfig(lam=2.0 * math.pi * 20.0, m_n=PlantParams.gripper().m),
     "pd0": PDConfig(K_p=88.4, K_d=1.768),
     "pd1": PDConfig(K_p=88.4, K_d=1.768, delay_samples=1),
     "pd2": PDConfig(K_p=40.0, K_d=0.8, delay_samples=2),  # 88.4 is unstable at 2 samples
     "composite": CompositeConfig(
-        DOBConfig.inertial(PlantParams.gripper().m, 20.0),
-        FeedforwardConfig.from_params(PlantParams.gripper(), include_dahl=False),
+        DOBConfig(lam=20.0, m_n=PlantParams.gripper().m),
+        feedforward(PlantParams.gripper(), dahl=False),
     ),
 }
 
@@ -645,7 +646,7 @@ class TestSimulate:
     def test_zero_excitation_zero_trace(self, gripper):
         from fluidsea.controllers import DOBConfig
 
-        for ctrl in (None, DOBConfig.inertial(gripper.m, 20.0)):
+        for ctrl in (None, DOBConfig(lam=20.0, m_n=gripper.m)):
             tr = simulate(gripper, ctrl, None, None, duration=1.0, dt=DT)
             for col in ("x", "v", "x_e", "v_e", "F_p", "F_a", "F_d"):
                 assert np.all(tr.column(col) == 0.0)

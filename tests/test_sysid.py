@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluidsea import sysid
 from fluidsea.lti import FrequencyGrid, Polynomial, RationalTF
 from fluidsea.plant import simulate
 from fluidsea.rng import Xorshift64Star
@@ -13,6 +15,7 @@ from fluidsea.sysid import (
     FitError,
     FrequencyResponse,
     _next_fast_len,
+    default_grid,
     estimate_frf,
     extract_params,
     fit_tf,
@@ -317,3 +320,70 @@ class TestExtractParams:
         assert header == "omega_rad_s,re,im,mag_db,phase_deg,sigma_mag"
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape == (12, 6)
+
+
+class TestRunSysid:
+    SPEC = ChirpSpec(0.3, 0.05, 400.0, 20.0)
+    NOISE = 1e-6
+
+    def test_noise_without_generator_raises_before_simulating(self, gripper_linear, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate ran before the generator was checked")
+
+        monkeypatch.setattr(sysid, "simulate", no_simulation)
+        with pytest.raises(ValueError, match="requires a generator"):
+            run_sysid(gripper_linear, self.SPEC, dt=DT, noise_std=self.NOISE, rng=None)
+
+    def test_equals_its_parts_byte_for_byte(self, gripper_linear):
+        # the pipeline, rebuilt from its public parts: simulate, the noise
+        # drawn in the order x, x_e, F_p, F_e, four spectra and the fits
+        spec = ChirpSpec(0.3, 0.05, 400.0, 10.0)
+        got = run_sysid(gripper_linear, spec, dt=DT, noise_std=self.NOISE, rng=Xorshift64Star(5))
+
+        trace = simulate(gripper_linear, None, spec, None, duration=spec.duration, dt=DT)
+        rng = Xorshift64Star(5)
+        x = trace.x + self.NOISE * rng.normal_array(len(trace))
+        x_e = trace.x_e + self.NOISE * rng.normal_array(len(trace))
+        f_p = trace.F_p + self.NOISE * rng.normal_array(len(trace))
+        f_e = trace.F_e + self.NOISE * rng.normal_array(len(trace))
+        grid = default_grid()
+        want = [
+            estimate_frf(f_p, x, DT, grid),
+            estimate_frf(f_e - f_p, x_e, DT, grid),
+            estimate_frf(x_e - x, f_p, DT, grid),
+            estimate_frf(f_e, x_e, DT, grid),
+        ]
+        frfs = [got.motor_frf, got.finger_frf, got.line_frf, got.endpoint_frf]
+        for a, b in zip(frfs, want):
+            for name in ("H", "sigma", "valid"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+        extraction = extract_params(*want[:3])
+        for name in ("motor", "finger", "line"):
+            assert np.array_equal(
+                getattr(got.extraction, name).coeffs, getattr(extraction, name).coeffs
+            ), name
+        whole, _ = fit_tf(want[3])
+        assert np.array_equal(got.whole_fit.num.coeffs, whole.num.coeffs)
+        assert np.array_equal(got.whole_fit.den.coeffs, whole.den.coeffs)
+
+    def test_peak_heap_drops_the_trace_before_the_spectra(self, gripper_linear):
+        # The trace is dropped before the noise and the spectra, and each
+        # spectrum product lives only for its own transform. A pipeline that
+        # keeps the trace through the spectra peaks near 27.5 record lengths
+        # (8 n bytes) here; this one near 15.4, set by the simulation's own
+        # record and its sampled-force blocks.
+        n = round(self.SPEC.duration / DT)
+
+        def run():
+            run_sysid(gripper_linear, self.SPEC, dt=DT, noise_std=self.NOISE,
+                      rng=Xorshift64Star(7))
+
+        run()  # warm-up: first-call caches are not the pipeline's record
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * 8 * n, f"peak heap {peak / (8 * n):.1f} record lengths"
