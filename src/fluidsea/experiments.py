@@ -238,6 +238,7 @@ def _run_sysid(cfg: ExperimentConfig, art: ArtifactWriter) -> None:
         + f"den: {wf.den.coeffs.tolist()}\n"
         + f"weighted residual: {result.whole_report.residual:.6e} "
         + f"({result.whole_report.iterations} iterations)\n"
+        + f"converged: {result.whole_report.converged}\n"
     )
     art.write_text("params_report.txt", report)
 

@@ -3,9 +3,11 @@
 The identification pipeline mirrors the hardware procedure at desk scale:
 excite the passive plant with a logarithmic torque chirp, estimate
 frequency-response functions with 1-sigma bands by the Blackman-Tukey method
-(windowed sample correlations transformed to the frequency domain), fit a
-2-zero/4-pole rational model to the endpoint response, and fit the three
-sub-plant responses directly for the lumped parameters.
+(windowed sample correlations transformed to the frequency domain), and fit
+them all with one Sanathanan-Koerner routine, :func:`fit_tf`: 2 zeros over
+4 poles to the endpoint response, and for the lumped parameters 0 over 2 to
+the motor and the finger and 1 over 0 to the line. A sub-plant fit's
+residual is the 1/sigma^2-weighted RMS of |H_fit - H| / |H_fit|.
 
 Defaults declared here rather than inherited from any experiment: Hann lag
 window with maximum lag one eighth of the record, dt = 1/2000 s, evaluation
@@ -47,8 +49,11 @@ def default_grid() -> FrequencyGrid:
 class FrequencyResponse:
     """Complex response samples on a frequency grid with 1-sigma bands.
 
-    sigma holds the per-point one-sigma magnitude uncertainty; ``valid``
-    flags points where the input spectrum was above the numerical floor.
+    sigma is a coherence-based one-sigma magnitude band: it includes the lag
+    window's bias and the chirp's non-stationarity, not the noise alone, and
+    seed-to-seed scatter reads 0.2-0.9 of it. The fits weight by it and do
+    not depend on its absolute scale. ``valid`` flags points where the input
+    spectrum was above the numerical floor.
     """
 
     grid: FrequencyGrid
@@ -227,24 +232,33 @@ class FitError(RuntimeError):
     """Rational fit failed (rank deficiency or too few valid points)."""
 
 
+def _in_band(frf: FrequencyResponse, band: tuple[float, float]) -> np.ndarray:
+    """The mask of the valid points with band[0] <= omega <= band[1]."""
+    return frf.valid & (frf.omegas >= band[0]) & (frf.omegas <= band[1])
+
+
 def _floored_sigma(frf: FrequencyResponse, sel: np.ndarray) -> np.ndarray:
     """The selected points' sigma, floored at 1e-3 of their median |H|."""
     floor = 1e-3 * np.median(np.abs(frf.H[sel])) + 1e-300
     return np.maximum(frf.sigma[sel], floor)
 
 
-def fit_tf(frf: FrequencyResponse):
-    """Iteratively reweighted linear least-squares rational fit.
+def fit_tf(frf: FrequencyResponse, n_zeros: int = _FIT_ZEROS, n_poles: int = _FIT_POLES,
+           band: tuple[float, float] = _FIT_BAND):
+    """Sanathanan-Koerner rational fit: iteratively reweighted linear least squares.
 
-    Fits ``_FIT_ZEROS`` = 2 zeros over ``_FIT_POLES`` = 4 poles to the valid
-    points in ``_FIT_BAND`` = 0-400 rad/s, with inverse-variance weights.
-    Uses Sanathanan-Koerner reweighting: each pass solves the linearized
-    problem min sum W |N(jw) - D(jw) H|^2 with W divided by |D_prev(jw)|^2,
-    monic highest denominator coefficient, frequencies pre-scaled for
-    conditioning. Iteration stops after ``_FIT_MAX_ITER`` = 30 passes, when
-    the parameter vector moves less than ``_FIT_REL_TOL`` = 1e-8 relative, or
-    when the true weighted residual stops improving (the best model seen is
-    returned, so the reported residual is non-increasing).
+    Fits ``n_zeros`` zeros over ``n_poles`` poles (default 2 over 4, the
+    endpoint model) to the valid points in ``band`` [rad/s] (default
+    ``_FIT_BAND`` = 0-400 rad/s), with inverse-variance weights 1/sigma^2,
+    sigma floored at 1e-3 of the band's median |H|. Each pass solves the
+    linearized problem min sum W |N(jw) - D(jw) H|^2 with W divided by
+    |D_prev(jw)|^2, so the iteration minimizes the output error N/D - H
+    (Sanathanan & Koerner, IEEE TAC 8, 1963); monic highest denominator
+    coefficient, frequencies pre-scaled for conditioning. Iteration stops
+    after ``_FIT_MAX_ITER`` = 30 passes, when the parameter vector moves less
+    than ``_FIT_REL_TOL`` = 1e-8 relative (``converged``), or when the true
+    weighted residual stops improving (the best model seen is returned, so
+    the reported residual is non-increasing).
 
     Returns (RationalTF, FitReport).
 
@@ -254,14 +268,13 @@ def fit_tf(frf: FrequencyResponse):
         If fewer than 4 (n_poles + n_zeros) valid points lie in the band or
         the normal equations are rank deficient.
     """
-    nz, npo = _FIT_ZEROS, _FIT_POLES
-    w_all = frf.omegas
-    sel = frf.valid & (w_all >= _FIT_BAND[0]) & (w_all <= _FIT_BAND[1])
+    nz, npo = n_zeros, n_poles
+    sel = _in_band(frf, band)
     if np.sum(sel) < 4 * (npo + nz):
         raise FitError(
             f"only {int(np.sum(sel))} valid points in band, need >= {4 * (npo + nz)}"
         )
-    w = w_all[sel]
+    w = frf.omegas[sel]
     H = frf.H[sel]
     base_w = 1.0 / _floored_sigma(frf, sel) ** 2  # inverse variance
 
@@ -345,10 +358,11 @@ _RESIDUAL_THRESHOLD = 0.05
 
 @dataclass
 class SubPlantFit:
-    """Weighted least-squares fit of one lumped sub-plant."""
+    """One lumped sub-plant's parameters, relative residual and fit convergence."""
 
     coeffs: np.ndarray
     residual: float
+    converged: bool
 
 
 @dataclass
@@ -361,45 +375,18 @@ class SysIdExtraction:
 
     def report_text(self) -> str:
         p = self.params
+
+        def tail(fit: SubPlantFit) -> str:
+            return f"resid={fit.residual:.3e}  converged={fit.converged}"
+
         lines = [
-            "sub-plant weighted least-squares fits",
-            f"motor   : m={p.m:.6e}  b={p.b:.6e}  k={p.k:.6e}  resid={self.motor.residual:.3e}",
-            f"finger  : m_e={p.m_e:.6e}  b_e={p.b_e:.6e}  k_e={p.k_e:.6e}  resid={self.finger.residual:.3e}",
-            f"line    : b_s={p.b_s:.6e}  k_s={p.k_s:.6e}  resid={self.line.residual:.3e}",
+            "sub-plant Sanathanan-Koerner fits",
+            f"motor   : m={p.m:.6e}  b={p.b:.6e}  k={p.k:.6e}  {tail(self.motor)}",
+            f"finger  : m_e={p.m_e:.6e}  b_e={p.b_e:.6e}  k_e={p.k_e:.6e}  {tail(self.finger)}",
+            f"line    : b_s={p.b_s:.6e}  k_s={p.k_s:.6e}  {tail(self.line)}",
             f"flagged : {self.flagged}",
         ]
         return "\n".join(lines)
-
-
-def _subplant_fit(frf: FrequencyResponse, design) -> SubPlantFit:
-    """Weighted least squares of one sub-plant on the valid points in ``_EXTRACT_BAND``.
-
-    ``design(s, H)`` gives (A, rhs, scale): theta minimizes sum w^2 |A theta - rhs|^2,
-    w the inverse floored sigma, and the weighted RMS residual is divided by scale.
-    """
-    sel = frf.valid & (frf.omegas >= _EXTRACT_BAND[0]) & (frf.omegas <= _EXTRACT_BAND[1])
-    A, rhs, scale = design(1j * frf.omegas[sel], frf.H[sel])
-    wts = 1.0 / _floored_sigma(frf, sel)
-    Aw = A * wts[:, None]
-    rw = rhs * wts
-    theta, _, rank, _ = np.linalg.lstsq(
-        np.vstack([Aw.real, Aw.imag]), np.concatenate([rw.real, rw.imag]), rcond=None
-    )
-    if rank < A.shape[1]:
-        raise FitError("rank-deficient sub-plant fit")
-    resid = float(np.sqrt(np.sum((wts * np.abs(A @ theta - rhs)) ** 2) / np.sum(wts**2)))
-    return SubPlantFit(coeffs=theta, residual=resid / scale)
-
-
-def _second_order_inverse(s, H):
-    """H ~ 1/(m s^2 + b s + k) by the relative equation error (m s^2 + b s + k) H - 1,
-    linear in the parameters and exact for noiseless data."""
-    return np.column_stack([H * s**2, H * s, H]), np.ones_like(H), 1.0
-
-
-def _line(s, H):
-    """H ~ b_s s + k_s, its residual relative to the response scale like the inverse fits'."""
-    return np.column_stack([s, np.ones_like(H)]), H, float(np.median(np.abs(H))) or 1.0
 
 
 def extract_params(
@@ -413,26 +400,37 @@ def extract_params(
     finger : X_e / (F_e - F_p), fit to 1/(m_e s^2 + b_e s + k_e)
     line : F_p / (X_e - X), fit to b_s s + k_s
 
-    All three fits are frequency-weighted linear least squares restricted to
-    ``_EXTRACT_BAND`` = 0.1-400 rad/s; a sub-fit whose relative residual
-    exceeds ``_RESIDUAL_THRESHOLD`` = 0.05 flags the parameter set
-    (nonlinearity or a poor record), without blocking the return. A
-    rank-deficient sub-fit, or a fitted parameter outside the domain of
-    :class:`PlantParams`, raises :class:`FitError` naming the parameter and
-    its value.
+    Each is one :func:`fit_tf` Sanathanan-Koerner fit on the valid points in
+    ``_EXTRACT_BAND`` = 0.1-400 rad/s: the motor and the finger as 0 zeros over
+    2 poles, c_0 / (s^2 + d_1 s + d_2), so m = 1/c_0, b = d_1/c_0 and
+    k = d_2/c_0; the line as 1 zero over 0 poles. A sub-fit's residual is the
+    1/sigma^2-weighted RMS (sigma floored as in :func:`fit_tf`) of
+    |H_fit - H| / |H_fit|, for the motor and the finger the relative equation
+    error (m s^2 + b s + k) H - 1. One above ``_RESIDUAL_THRESHOLD`` = 0.05
+    flags the parameter set (nonlinearity or a poor record), without
+    blocking the return. A sub-fit :func:`fit_tf` rejects, or a fitted
+    parameter outside the domain of :class:`PlantParams`, raises
+    :class:`FitError`, the latter naming the parameter and its value.
     """
-    mf = _subplant_fit(motor, _second_order_inverse)
-    ff = _subplant_fit(finger, _second_order_inverse)
-    lf = _subplant_fit(line, _line)
-    m, b, k = (float(v) for v in mf.coeffs)
-    m_e, b_e, k_e = (float(v) for v in ff.coeffs)
-    b_s, k_s = (float(v) for v in lf.coeffs)
-    flagged = max(mf.residual, ff.residual, lf.residual) > _RESIDUAL_THRESHOLD
+    fits = []
+    for frf, n_zeros, n_poles in ((motor, 0, 2), (finger, 0, 2), (line, 1, 0)):
+        tf, rep = fit_tf(frf, n_zeros, n_poles, _EXTRACT_BAND)
+        sel = _in_band(frf, _EXTRACT_BAND)
+        fit = tf.eval_grid(frf.omegas[sel])
+        wts = 1.0 / _floored_sigma(frf, sel) ** 2
+        resid = np.sqrt(np.sum(wts * np.abs((fit - frf.H[sel]) / fit) ** 2) / np.sum(wts))
+        num = tf.num.coeffs  # Polynomial drops a negligible leading b_s; restore it as 0
+        num = np.pad(num, (n_zeros + 1 - num.size, 0))
+        coeffs = tf.den.coeffs / num[0] if n_poles else num  # (m, b, k) or (b_s, k_s)
+        fits.append(SubPlantFit(coeffs=coeffs, residual=float(resid), converged=rep.converged))
+    names = ("m", "b", "k", "m_e", "b_e", "k_e", "b_s", "k_s")
+    values = dict(zip(names, (float(v) for fit in fits for v in fit.coeffs)))
+    flagged = max(fit.residual for fit in fits) > _RESIDUAL_THRESHOLD
     try:
-        params = PlantParams(m=m, b=b, k=k, m_e=m_e, b_e=b_e, k_e=k_e, b_s=b_s, k_s=k_s)
+        params = PlantParams(**values)
     except ValueError as exc:
         raise FitError(f"sub-plant fits give no valid plant: {exc}") from exc
-    return SysIdExtraction(params=params, motor=mf, finger=ff, line=lf, flagged=flagged)
+    return SysIdExtraction(params, *fits, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -211,13 +211,25 @@ class TestEstimateFrf:
             estimate_frf(np.ones(100), np.ones(100), DT, FrequencyGrid([1.0]), max_lag=0)
 
 
+# A 2-zero/4-pole response of the endpoint fit's shape, and its grid.
+_ENDPOINT = RationalTF(Polynomial([2.0, 3.0, 4.0]), Polynomial([1e-3, 0.05, 1.2, 0.4, 0.2]))
+_ENDPOINT_GRID = FrequencyGrid.log_spaced(0.05, 390.0, 160)
+
+
+def _perturbed(frf: FrequencyResponse, rel_sigma: float) -> FrequencyResponse:
+    """frf with a sigma profile rising with omega, 1e-2 of the median |H| and
+    ``rel_sigma`` |H| (1 + omega / 100), and seeded complex noise of that sigma."""
+    mag = np.abs(frf.H)
+    sigma = 1e-2 * np.median(mag) + rel_sigma * mag * (1.0 + frf.omegas / 100.0)
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal(mag.size) + 1j * rng.standard_normal(mag.size)
+    return FrequencyResponse(frf.grid, frf.H + sigma * noise / np.sqrt(2.0), sigma)
+
+
 class TestFitTf:
     def test_exact_model_recovery(self):
-        grid = FrequencyGrid.log_spaced(0.05, 390.0, 160)
-        true = RationalTF(
-            Polynomial([2.0, 3.0, 4.0]), Polynomial([1e-3, 0.05, 1.2, 0.4, 0.2])
-        )
-        frf = FrequencyResponse.from_tf(true, grid)
+        true = _ENDPOINT
+        frf = FrequencyResponse.from_tf(true, _ENDPOINT_GRID)
         tf, rep = fit_tf(frf)
         np.testing.assert_allclose(tf.den.coeffs, true.den.coeffs, rtol=1e-6)
         np.testing.assert_allclose(
@@ -225,6 +237,14 @@ class TestFitTf:
             rtol=1e-6,
         )
         assert rep.residual < 1e-9
+
+    def test_default_orders_and_band_are_the_endpoint_fit(self):
+        frf = _perturbed(FrequencyResponse.from_tf(_ENDPOINT, _ENDPOINT_GRID), 0.05)
+        tf, rep = fit_tf(frf)
+        tf2, rep2 = fit_tf(frf, 2, 4, (0.0, 400.0))
+        assert np.array_equal(tf.num.coeffs, tf2.num.coeffs)
+        assert np.array_equal(tf.den.coeffs, tf2.den.coeffs)
+        assert rep == rep2
 
     def test_too_few_points(self):
         grid = FrequencyGrid.log_spaced(1.0, 10.0, 5)
@@ -281,6 +301,46 @@ class TestExtractParams:
         with pytest.raises(FitError, match=rf"\b{name} must be >= 0, got -0\.01$"):
             extract_params(*_analytic_sub_responses(**coeffs))
 
+    def test_too_few_points_in_band_raise_fit_error(self, gripper_linear):
+        # 0 zeros over 2 poles need 4 (0 + 2) = 8 valid points in 0.1-400 rad/s
+        p = gripper_linear
+        _, finger, line = _analytic_sub_responses(
+            p.m, p.b, p.k, p.m_e, p.b_e, p.k_e, p.b_s, p.k_s
+        )
+        grid = FrequencyGrid.log_spaced(1.0, 100.0, 5)
+        motor = FrequencyResponse.from_tf(
+            RationalTF(Polynomial([1.0]), Polynomial([p.m, p.b, p.k])), grid
+        )
+        with pytest.raises(FitError, match=r"only 5 valid points in band, need >= 8"):
+            extract_params(motor, finger, line)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_sigma_scale_leaves_the_fits_unchanged(self, gripper_linear, factor):
+        # The weights are 1/sigma^2: a common factor on every sigma leaves
+        # the least-squares solutions as they are, while the profile above
+        # the 1e-3 median |H| floor still shapes them.
+        p = gripper_linear
+        frfs = [_perturbed(f, 0.02) for f in _analytic_sub_responses(
+            p.m, p.b, p.k, p.m_e, p.b_e, p.k_e, p.b_s, p.k_s
+        )]
+        frfs.append(_perturbed(FrequencyResponse.from_tf(_ENDPOINT, _ENDPOINT_GRID), 0.02))
+
+        def scaled(f):
+            assert np.min(factor * f.sigma) > 1e-3 * np.median(np.abs(f.H))
+            return FrequencyResponse(f.grid, f.H, factor * f.sigma)
+
+        base = extract_params(*frfs[:3])
+        other = extract_params(*(scaled(f) for f in frfs[:3]))
+        names = ("m", "b", "k", "m_e", "b_e", "k_e", "b_s", "k_s")
+        want = [getattr(base.params, n) for n in names]
+        got = [getattr(other.params, n) for n in names]
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+        assert max(abs(w / getattr(p, n) - 1.0) for w, n in zip(want, names)) > 1e-4
+        tf, _ = fit_tf(frfs[3])
+        tf2, _ = fit_tf(scaled(frfs[3]))
+        np.testing.assert_allclose(tf2.num.coeffs, tf.num.coeffs, rtol=1e-9)
+        np.testing.assert_allclose(tf2.den.coeffs, tf.den.coeffs, rtol=1e-9)
+
     def test_roundtrip_on_simulated_record(self, gripper_linear):
         p = gripper_linear
         with warnings.catch_warnings():
@@ -295,6 +355,25 @@ class TestExtractParams:
                 getattr(p, name), rel=0.10
             ), name
         assert not res.extraction.flagged
+
+    def test_noisy_records_give_unbiased_motor_and_finger(self, gripper_linear):
+        # Derandomized Monte Carlo on the bench chirp at noise_std 2.9e-3. An
+        # equation-error fit, with the measured H in its regressors, is biased
+        # by the noise in H (m about 12 % and k about 17 % low at this level);
+        # the output-error fit must hold 1 % on every seed. The line's b_s and
+        # k_s are left out: its input x_e - x carries a bias of its own.
+        p = gripper_linear
+        spec = ChirpSpec(0.3, 0.01, 1000.0, 120.0)
+        names = ("m", "b", "k", "m_e", "b_e", "k_e")
+        errs = []
+        for seed in (1, 2, 3, 4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                q = run_sysid(p, spec, dt=5e-4, noise_std=2.9e-3,
+                              rng=Xorshift64Star(seed)).extraction.params
+            errs.append([getattr(q, n) / getattr(p, n) - 1.0 for n in names])
+        worst = dict(zip(names, np.max(np.abs(errs), axis=0)))
+        assert max(worst.values()) < 0.01, worst
 
     def test_hysteresis_inflates_endpoint_fit_residual(self, gripper, gripper_linear):
         # the hysteresis element lives at the endpoint, so the finger fit
