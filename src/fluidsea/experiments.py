@@ -4,9 +4,9 @@ A config file is sectioned key=value text (INI form) with sections
 ``[plant]``, ``[controller]``, ``[excitation]``, ``[analysis]`` and
 ``[run]``; all numbers are SI units in the motor rotation frame. Missing
 sections fall back to the identified gripper plant, no controller, no
-excitation. One table per section (see "Config schema") drives both
-parsing and serialization. Unknown keys, and keys the chosen controller or
-excitation type does not take, are rejected so typos fail loudly.
+excitation. One table per section (see "Config schema") drives parsing:
+unknown keys, and keys the chosen controller or excitation type does not
+take, are rejected so typos fail loudly.
 
 Every run writes its artifacts atomically into the output directory and
 finishes with ``manifest.txt`` listing each file with its SHA-256 content
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -38,7 +37,7 @@ from .controllers import (
 )
 from .csvio import write_csv
 from .lti import FrequencyGrid
-from .plant import DEFAULT_DT, PlantParams, simulate
+from .plant import DEFAULT_DT, MAX_DT, PlantParams, simulate
 from .rng import Xorshift64Star
 from .signals import ChirpSpec, ConstantSpec, NyquistViolationError, SineSpec
 
@@ -51,7 +50,6 @@ __all__ = [
     "presets",
     "run_experiment",
     "run_preset",
-    "serialize_config",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -388,16 +386,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> list[st
 
 
 # ---------------------------------------------------------------------------
-# Config schema: one table per section drives parsing and serialization
+# Config schema: one table per section drives parsing
 # ---------------------------------------------------------------------------
 
 _GRIPPER = PlantParams.gripper()
 _BOOL = (True, False)  # a bool is a choice; configparser's spellings map to it
-_ALIASES = {
-    **configparser.ConfigParser.BOOLEAN_STATES,
-    "passivity-report": "passivity",
-    "proportional_ff": "proportional",
-}
 _KINDS = {float: "a finite number", int: "an integer"}
 
 
@@ -490,7 +483,7 @@ _SECTIONS = {
     "analysis": _Group(dict, {}, {"analysis": _ANALYSIS}),
     "run": _Group(dict, {
         "duration": _Key(check=_POSITIVE),
-        "dt": _Key(check=(lambda v: 0 < v <= 1e-2, "must lie in (0, 1e-2]")),
+        "dt": _Key(check=(lambda v: 0 < v <= MAX_DT, "must lie in (0, 1e-2]")),
         "seed": _Key(int),
         "output_dir": _Key(str),
         "allow_nyquist": _Key(_BOOL),
@@ -515,7 +508,7 @@ class _SectionReader:
         kind, choices = key.kind, isinstance(key.kind, (tuple, dict))
         try:
             if choices:
-                value = _ALIASES.get(raw.lower(), raw.lower())
+                value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower(), raw.lower())
                 if value not in kind:
                     raise ValueError(value)
             else:
@@ -585,24 +578,6 @@ def _required(cls) -> set[str]:
             if f.default is MISSING and f.default_factory is MISSING}
 
 
-def _flatten(obj, group: _Group) -> dict[str, str]:
-    """The INI text of each key of ``group`` in ``obj``; the inverse of reading."""
-    out = {}
-    for name, key in group.keys.items():
-        value = getattr(obj, key.attr or name)
-        if isinstance(key.kind, dict):
-            choice = next((c for c, part in key.kind.items() if isinstance(value, part.cls)), None)
-            if choice is None:
-                raise ConfigError(f"cannot serialize {value!r}")
-            out[name] = str(choice)
-            out.update(_flatten(value, key.kind[choice]))
-        else:
-            out[name] = str(value)
-    for attr, part in group.parts.items():
-        out.update(_flatten(getattr(obj, attr), part))
-    return out
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse INI-form experiment text into a validated ExperimentConfig."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
@@ -624,17 +599,6 @@ def parse_config(text: str) -> ExperimentConfig:
 def parse_config_file(path: str) -> ExperimentConfig:
     with open(path) as fh:
         return parse_config(fh.read())
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render a config back to INI text; parse(serialize(c)) == c."""
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str
-    for section, group in _SECTIONS.items():
-        cp[section] = _flatten(cfg, group)
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,9 @@ AXIS_RTOL = 1e-9
 # exceed ROOT_RESIDUAL_RTOL times sum_i |c_i| |r|^(n-i).
 ROOT_RESIDUAL_RTOL = 1e-8
 
+# RationalTF.reduced cancels a zero z and a pole p within CANCEL_RTOL * max(1, |p|).
+CANCEL_RTOL = 1e-8
+
 
 class MalformedPolynomialError(ValueError):
     """Polynomial input is empty, all-zero, or otherwise unusable."""
@@ -246,14 +249,14 @@ class RationalTF:
         """Roots of the stored denominator (multiplicity included)."""
         return self.den.roots()
 
-    def reduced(self, rtol: float = 1e-8) -> "RationalTF":
+    def reduced(self) -> "RationalTF":
         """Cancel common factors between numerator and denominator.
 
         Exact common powers of s (shared trailing zero coefficients) are
         cancelled first without any root finding. Remaining common roots are
-        matched pairwise within ``rtol * max(1, |root|)`` and removed, and the
-        polynomials are rebuilt from the surviving roots. Reduction never
-        changes the frequency response beyond root-matching tolerance.
+        matched pairwise within ``CANCEL_RTOL * max(1, |root|)`` and removed,
+        and the polynomials are rebuilt from the surviving roots. Reduction
+        never changes the frequency response beyond root-matching tolerance.
         """
         nz = min(self.num.trailing_zero_count(), self.den.trailing_zero_count())
         num_c = self.num.coeffs[: self.num.coeffs.size - nz] if nz else self.num.coeffs
@@ -267,7 +270,7 @@ class RationalTF:
         for z in zeros:
             hit = None
             for i, p in enumerate(poles):
-                if abs(z - p) <= rtol * max(1.0, abs(p)):
+                if abs(z - p) <= CANCEL_RTOL * max(1.0, abs(p)):
                     hit = i
                     break
             if hit is None:

@@ -59,6 +59,7 @@ from .signals import SineMotionSpec, as_signal
 
 __all__ = [
     "DEFAULT_DT",
+    "MAX_DT",
     "PlantParams",
     "PlantState",
     "SimTrace",
@@ -69,6 +70,7 @@ __all__ = [
 ]
 
 DEFAULT_DT = 1.0 / 2000.0
+MAX_DT = 1e-2  # largest accepted step [s]: every dt lies in (0, MAX_DT]
 
 # Divergence guard: positions/velocities beyond this are treated as blow-up.
 _STATE_LIMIT = 1e9
@@ -379,7 +381,7 @@ def simulate_backdriven(
 
 
 def _steps(duration: float, dt: float) -> int:
-    if not (0.0 < dt <= 1e-2):
+    if not (0.0 < dt <= MAX_DT):
         raise ValueError("dt must lie in (0, 1e-2] s")
     steps = int(round(duration / dt))
     if steps < 1:

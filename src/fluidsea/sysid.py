@@ -18,6 +18,7 @@ the caller's: :func:`run_sysid` takes it without a default.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,8 +101,12 @@ class FrequencyResponse:
 
     @classmethod
     def from_tf(cls, tf: RationalTF, grid: FrequencyGrid) -> "FrequencyResponse":
-        H = tf.eval_grid(grid.omegas)
-        return cls(grid, H, np.zeros(len(grid)))
+        """``tf`` on ``grid``; a point on a pole is invalid, with H = 0, and warns."""
+        H, on_pole = tf.response(grid.omegas)
+        for w in grid.omegas[on_pole]:
+            warnings.warn(f"response at omega = {w:.6g} rad/s is invalid: a pole lies on it",
+                          stacklevel=2)
+        return cls(grid, np.where(on_pole, 0.0, H), np.zeros(len(grid)), ~on_pole)
 
 
 def _next_fast_len(target: int) -> int:
