@@ -21,9 +21,12 @@ which is fitted to measured loops for (F_c, sigma).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -105,6 +108,91 @@ _SETTLE_TIME = 5.0
 _DRIFT_TOL = 5e-3
 
 
+def _measure_point(params, controller, amplitude, dt, ports, w):
+    """One grid point of :func:`measure_impedance`, an (H, reason) pair per port.
+
+    H is the port's impedance; reason is None for a valid point, else why it
+    is invalid (H is then 0). A diverged simulation is caught here, so no
+    ``SimulationDivergedError`` leaves a worker process.
+    """
+    period = 2.0 * math.pi / w
+    n_per = int(round(period / dt))
+    base_settle = max(1, math.ceil(_SETTLE_TIME / period))
+    H = [0j] * len(ports)
+    pending = list(range(len(ports)))
+    drift = [math.inf] * len(ports)  # each port's drift in the latest run
+    diverged_at = None
+    for settle in (base_settle, 2 * base_settle):
+        try:
+            trace = simulate(
+                params,
+                controller,
+                SineSpec(amplitude, w),
+                None,
+                duration=(settle + 2) * period,
+                dt=dt,
+            )
+        except SimulationDivergedError as exc:
+            diverged_at = exc.step_index
+            break
+        first = slice(settle * n_per, (settle + 1) * n_per)
+        last = slice((settle + 1) * n_per, (settle + 2) * n_per)
+        e_first = np.exp(-1j * w * trace.t[first])  # shared by every port
+        e_last = np.exp(-1j * w * trace.t[last])
+        for j in list(pending):
+            f_name, v_name = _PORT_SIGNALS[ports[j]]
+            f_sig, v_sig = trace.column(f_name), trace.column(v_name)
+            a_first = abs(_phasor(v_sig[first], e_first))
+            pv = _phasor(v_sig[last], e_last)
+            drift[j] = abs(abs(pv) - a_first) / abs(pv) if abs(pv) > 0 else math.inf
+            if drift[j] <= _DRIFT_TOL:
+                H[j] = _phasor(f_sig[last], e_last) / pv
+                pending.remove(j)
+        if not pending:
+            break
+    reasons = [None] * len(ports)
+    for j in pending:
+        if diverged_at is not None:
+            reasons[j] = f"the simulation diverged at step {diverged_at}"
+        else:
+            reasons[j] = (
+                f"velocity amplitude drift {drift[j]:.3e} exceeds {_DRIFT_TOL:.1e} after the retry"
+            )
+    return list(zip(H, reasons))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextlib.contextmanager
+def _mapped(point, omegas):
+    """``point`` mapped over ``omegas``, results in order.
+
+    The points run in min(points, CPUs) forked worker processes, or in this
+    process when that is 1 or ``fork`` is unavailable. Either way each point
+    is the same computation, so the results are the same to the bit. The
+    pool closes on leaving the block, whether it returns or raises.
+    """
+    workers = min(len(omegas), _cpu_count())
+    if workers > 1:
+        # imported here, so that a cold ``import fluidsea.cli`` does not pay for them
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            context = multiprocessing.get_context("fork")
+            # closing the map first cancels the points not yet started
+            with ProcessPoolExecutor(workers, mp_context=context) as pool, contextlib.closing(
+                pool.map(point, omegas)
+            ) as results:
+                yield results
+            return
+    yield map(point, omegas)
+
+
 def measure_impedance(
     params: PlantParams,
     controller,
@@ -136,6 +224,11 @@ def measure_impedance(
     names its snapped omega and why: the step at which the simulation
     diverged, or the drift left after the retry. A grid whose points snap to
     the same period raises ``ValueError`` before any simulation.
+
+    The points are independent runs, so they run in forked worker
+    processes, min(points, CPUs) of them, lowest omega (the longest run)
+    first; the result and the warnings, in grid order, are the same to the
+    bit at any CPU count. Any other error a point raises is raised here.
     """
     ports = (port,) if isinstance(port, str) else tuple(port)
     if not ports or any(p not in _PORT_SIGNALS for p in ports):
@@ -143,55 +236,17 @@ def measure_impedance(
     omegas = snap_grid(grid, dt)
     H = [np.zeros(omegas.size, dtype=complex) for _ in ports]
     valid = [np.ones(omegas.size, dtype=bool) for _ in ports]
-
-    for i, w in enumerate(omegas):
-        period = 2.0 * math.pi / w
-        n_per = int(round(period / dt))
-        base_settle = max(1, math.ceil(_SETTLE_TIME / period))
-        pending = list(range(len(ports)))
-        drift = [math.inf] * len(ports)  # each port's drift in the latest run
-        diverged_at = None
-        for settle in (base_settle, 2 * base_settle):
-            try:
-                trace = simulate(
-                    params,
-                    controller,
-                    SineSpec(amplitude, w),
-                    None,
-                    duration=(settle + 2) * period,
-                    dt=dt,
-                )
-            except SimulationDivergedError as exc:
-                diverged_at = exc.step_index
-                break
-            first = slice(settle * n_per, (settle + 1) * n_per)
-            last = slice((settle + 1) * n_per, (settle + 2) * n_per)
-            e_first = np.exp(-1j * w * trace.t[first])  # shared by every port
-            e_last = np.exp(-1j * w * trace.t[last])
-            for j in list(pending):
-                f_name, v_name = _PORT_SIGNALS[ports[j]]
-                f_sig, v_sig = trace.column(f_name), trace.column(v_name)
-                a_first = abs(_phasor(v_sig[first], e_first))
-                pv = _phasor(v_sig[last], e_last)
-                drift[j] = abs(abs(pv) - a_first) / abs(pv) if abs(pv) > 0 else math.inf
-                if drift[j] <= _DRIFT_TOL:
-                    H[j][i] = _phasor(f_sig[last], e_last) / pv
-                    pending.remove(j)
-            if not pending:
-                break
-        for j in pending:
-            valid[j][i] = False
-            if diverged_at is not None:
-                reason = f"the simulation diverged at step {diverged_at}"
-            else:
-                reason = (
-                    f"velocity amplitude drift {drift[j]:.3e} exceeds {_DRIFT_TOL:.1e} "
-                    "after the retry"
-                )
-            warnings.warn(
-                f"{ports[j]} impedance at omega = {w:.6g} rad/s is invalid: {reason}",
-                stacklevel=2,
-            )
+    point = partial(_measure_point, params, controller, amplitude, dt, ports)
+    with _mapped(point, omegas) as results:
+        for i, (w, result) in enumerate(zip(omegas, results)):
+            for j, (h, reason) in enumerate(result):
+                H[j][i] = h
+                if reason is not None:
+                    valid[j][i] = False
+                    warnings.warn(
+                        f"{ports[j]} impedance at omega = {w:.6g} rad/s is invalid: {reason}",
+                        stacklevel=2,
+                    )
 
     responses = tuple(
         FrequencyResponse(FrequencyGrid(omegas), h, np.zeros(omegas.size), ok)

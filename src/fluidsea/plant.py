@@ -85,6 +85,10 @@ class SimulationDivergedError(RuntimeError):
         self.step_index = step_index
         super().__init__(f"simulation diverged at step {step_index}")
 
+    def __reduce__(self):
+        # rebuilt from the step alone; the default would pass the message as step_index
+        return type(self), (self.step_index,)
+
 
 @dataclass(frozen=True)
 class PlantParams:

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+import fluidsea.impedance as imp
 from fluidsea.controllers import DahlEstimate, FeedforwardConfig
 from fluidsea.plant import PlantParams
 
@@ -16,6 +19,32 @@ def feedforward(params: PlantParams, dahl: bool = True) -> FeedforwardConfig:
     return FeedforwardConfig(
         b_e=params.b_e, k_e=params.k_e, b_s=params.b_s, k_s=params.k_s, dahl=estimate
     )
+
+
+def spy_simulate(monkeypatch, tmp_path):
+    """Record each ``impedance.simulate`` call as (omega, duration, process id).
+
+    The calls are appended to a file, one line each, so that calls made in
+    worker processes are seen too. Returns a function that reads them back,
+    in no particular order.
+    """
+    log = tmp_path / "simulate_calls.txt"
+    log.touch()
+    original = imp.simulate
+
+    def recording_simulate(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{float(args[2].omega)!r} {float(kwargs['duration'])!r} {os.getpid()}\n")
+        return original(*args, **kwargs)
+
+    def calls():
+        return [
+            (float(w), float(duration), int(pid))
+            for w, duration, pid in map(str.split, log.read_text().splitlines())
+        ]
+
+    monkeypatch.setattr(imp, "simulate", recording_simulate)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -41,6 +41,8 @@ from fluidsea.passivity import endpoint_impedance
 from fluidsea.plant import PlantParams
 from fluidsea.sysid import FrequencyResponse
 
+from conftest import spy_simulate
+
 WORKLOOP_CFG = """
 [controller]
 type = composite
@@ -636,22 +638,13 @@ duration = 5
 
     def test_passive_impedance_sweeps_once(self, tmp_path, monkeypatch):
         # without a [controller] the configured sweep is the passive one
-        import fluidsea.impedance as imp
-
-        calls = []
-        original = imp.simulate
-
-        def counting_simulate(*args, **kwargs):
-            calls.append(args[2].omega)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(imp, "simulate", counting_simulate)
+        calls = spy_simulate(monkeypatch, tmp_path)
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text("[analysis]\ntype = impedance\ngrid_min = 3\ngrid_max = 10\n"
                             "grid_points = 2\n")
         out = tmp_path / "imp"
         assert main(["impedance", str(cfg_path), "--out", str(out)]) == 0
-        assert len(calls) == 2
+        assert len(calls()) == 2
         assert (out / "impedance.csv").read_bytes() == (out / "impedance_passive.csv").read_bytes()
 
     @pytest.mark.parametrize(
@@ -751,6 +744,10 @@ _NO_SCIPY_SCRIPT = """
 import sys
 
 import fluidsea, fluidsea.cli
+
+# measure_impedance imports the worker-pool modules only when a sweep uses them
+pool = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+assert not pool, pool
 
 d = sys.argv[1]
 assert fluidsea.cli.main(["simulate", d + "/simulate.ini", "--out", d + "/sim"]) == 0

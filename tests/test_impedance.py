@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import re
 import warnings
 from dataclasses import replace
@@ -39,7 +41,7 @@ from fluidsea.plant import (
 from fluidsea.signals import SineMotionSpec
 from fluidsea.sysid import FrequencyResponse
 
-from conftest import feedforward
+from conftest import feedforward, spy_simulate
 
 DT = 1.0 / 2000.0
 LAM_HZ = 2.0 * math.pi * 20.0
@@ -148,41 +150,28 @@ class TestMeasureImpedance:
             str(caught[0].message),
         )
 
-    def test_settle_schedule(self, gripper_linear, monkeypatch):
+    def test_settle_schedule(self, gripper_linear, monkeypatch, tmp_path):
         # one period of settling at 0.5 rad/s, ceil(5 s / period) = 16 at
         # 20 rad/s, then the two measured periods
-        import fluidsea.impedance as imp
-
-        durations = []
-        original = imp.simulate
-
-        def recording_simulate(*args, **kwargs):
-            durations.append(kwargs["duration"])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(imp, "simulate", recording_simulate)
+        calls = spy_simulate(monkeypatch, tmp_path)
         fr = measure_impedance(gripper_linear, None, FrequencyGrid(np.array([0.5, 20.0])), dt=DT)
         assert fr.valid.all()
         periods = 2 * math.pi / fr.omegas
-        assert durations == pytest.approx([3 * periods[0], 18 * periods[1]], rel=1e-12)
+        durations = {w: duration for w, duration, _ in calls()}
+        assert len(durations) == len(calls()) == 2
+        assert [durations[w] for w in fr.omegas] == pytest.approx(
+            [3 * periods[0], 18 * periods[1]], rel=1e-12
+        )
 
-    def test_settle_floor_of_one_period(self, gripper, monkeypatch):
+    def test_settle_floor_of_one_period(self, gripper, monkeypatch, tmp_path):
         # at 0.3 rad/s, 5 s is a quarter period; the hysteretic PD-hold point
         # settles in one run only because it settles for a whole period
-        import fluidsea.impedance as imp
         from fluidsea.controllers import PDConfig
 
-        calls = []
-        original = imp.simulate
-
-        def counting_simulate(*args, **kwargs):
-            calls.append(kwargs["duration"])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(imp, "simulate", counting_simulate)
+        calls = spy_simulate(monkeypatch, tmp_path)
         pd = PDConfig(K_p=88.4, K_d=1.768, delay_samples=1)
         fr = measure_impedance(gripper, pd, FrequencyGrid(np.array([0.3])), dt=DT)
-        assert len(calls) == 1
+        assert len(calls()) == 1
         assert fr.valid[0]
 
     def test_port_validation(self, gripper_linear):
@@ -201,25 +190,18 @@ class TestMeasureImpedance:
         ],
     )
     def test_port_tuple_equals_single_ports(
-        self, gripper, monkeypatch, drift_tol, runs, endpoint_valid, motor_valid
+        self, gripper, monkeypatch, tmp_path, drift_tol, runs, endpoint_valid, motor_valid
     ):
         import fluidsea.impedance as imp
 
         dob = DOBConfig(lam=20.0, m_n=gripper.m)
         grid = FrequencyGrid(np.array([2.0, 20.0]))
         monkeypatch.setattr(imp, "_DRIFT_TOL", drift_tol)
-        calls = []
-        original = imp.simulate
-
-        def counting_simulate(*args, **kwargs):
-            calls.append(args[2].omega)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(imp, "simulate", counting_simulate)
+        calls = spy_simulate(monkeypatch, tmp_path)
         with warnings.catch_warnings(record=True) as both_warned:
             warnings.simplefilter("always")
             both = measure_impedance(gripper, dob, grid, port=("endpoint", "motor"))
-        assert len(calls) == runs
+        assert len(calls()) == runs
         singles, single_warned = [], []
         for port in ("endpoint", "motor"):
             with warnings.catch_warnings(record=True) as caught:
@@ -250,6 +232,65 @@ class TestMeasureImpedance:
         red = 20 * np.log10(np.abs(passive.H) / np.abs(full.H))
         assert red[0] >= 17.0
         assert np.all(red[1:] >= -8.0)
+
+
+class TestWorkerProcesses:
+    """A sweep in worker processes equals the same sweep in this process.
+
+    ``_cpu_count`` is patched to 2 for the pool, so that it runs on a
+    one-CPU host too, and to 1 for the serial run.
+    """
+
+    def test_pool_equals_serial(self, gripper, monkeypatch, tmp_path):
+        import fluidsea.impedance as imp
+
+        # both points retry, and the endpoint at 20 rad/s never settles
+        monkeypatch.setattr(imp, "_DRIFT_TOL", 2.4e-8)
+        calls = spy_simulate(monkeypatch, tmp_path)
+        dob = DOBConfig(lam=20.0, m_n=gripper.m)
+        grid = FrequencyGrid(np.array([2.0, 20.0]))
+        runs = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(imp, "_cpu_count", lambda: cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = measure_impedance(gripper, dob, grid, port=("endpoint", "motor"))
+            assert multiprocessing.active_children() == []
+            runs.append((got, [str(w.message) for w in caught]))
+        (pooled, pooled_warned), (serial, serial_warned) = runs
+        pids = [pid for _, _, pid in calls()]
+        assert len(pids) == 8
+        assert os.getpid() not in pids[:4]  # the pool's runs were in workers
+        assert pids[4:] == [os.getpid()] * 4
+        assert [list(r.valid) for r in pooled] == [[True, False], [True, True]]
+        for got, want in zip(pooled, serial):
+            assert got.H.tobytes() == want.H.tobytes()
+            assert np.array_equal(got.valid, want.valid)
+            assert np.array_equal(got.omegas, want.omegas)
+        assert pooled_warned == serial_warned
+        assert len(pooled_warned) == 1
+
+    def test_error_in_a_point_is_raised(self, gripper_linear, monkeypatch):
+        import fluidsea.impedance as imp
+
+        grid = FrequencyGrid(np.array([2.0, 5.0, 50.0]))
+        bad = snap_omega(5.0, DT)
+        original = imp.simulate
+
+        def failing_simulate(*args, **kwargs):
+            if args[2].omega == bad:
+                raise ValueError(f"no run at omega = {bad!r}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(imp, "simulate", failing_simulate)
+        raised = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(imp, "_cpu_count", lambda: cpus)
+            with pytest.raises(ValueError) as err:
+                measure_impedance(gripper_linear, None, grid, dt=DT)
+            raised.append((type(err.value), str(err.value)))
+            assert multiprocessing.active_children() == []
+        assert raised == [(ValueError, f"no run at omega = {bad!r}")] * 2
 
 
 class TestWorkLoop:

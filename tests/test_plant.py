@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 from dataclasses import replace
 
@@ -714,6 +715,12 @@ class TestSimulate:
                     initial_state=PlantState(x=1e-3),
                 )
             assert err.value.step_index == 6
+
+    def test_divergence_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(SimulationDivergedError(5)))
+        assert type(err) is SimulationDivergedError
+        assert err.step_index == 5
+        assert str(err) == str(SimulationDivergedError(5)) == "simulation diverged at step 5"
 
     @pytest.mark.parametrize("step", [0, 1, 37, 2047, 2048, 3000])
     def test_non_finite_force_reports_its_step(self, gripper, step):
