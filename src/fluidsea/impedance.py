@@ -166,17 +166,25 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+# The code of the plant's own ``simulate``. A wrapper bound in its place (a
+# tracer, a test spy) has other code; a code object is never rebound with it.
+_PLANT_SIMULATE_CODE = simulate.__code__
+
+
 @contextlib.contextmanager
 def _mapped(point, omegas):
     """``point`` mapped over ``omegas``, results in order.
 
     The points run in min(points, CPUs) forked worker processes, or in this
-    process when that is 1 or ``fork`` is unavailable. Either way each point
-    is the same computation, so the results are the same to the bit. The
-    pool closes on leaving the block, whether it returns or raises.
+    process when that is 1, ``fork`` is unavailable or ``simulate`` is not
+    the plant's own: a replaced ``simulate`` records its calls in the
+    process that makes them, and in a worker they would be lost to it.
+    Either way each point is the same computation, so the results are the
+    same to the bit. The pool closes on leaving the block, whether it
+    returns or raises.
     """
     workers = min(len(omegas), _cpu_count())
-    if workers > 1:
+    if workers > 1 and getattr(simulate, "__code__", None) is _PLANT_SIMULATE_CODE:
         # imported here, so that a cold ``import fluidsea.cli`` does not pay for them
         import multiprocessing
 
@@ -229,6 +237,8 @@ def measure_impedance(
     processes, min(points, CPUs) of them, lowest omega (the longest run)
     first; the result and the warnings, in grid order, are the same to the
     bit at any CPU count. Any other error a point raises is raised here.
+    When ``simulate`` has been replaced, by a tracer or a test spy, the
+    points run in this process, so that the replacement sees every call.
     """
     ports = (port,) if isinstance(port, str) else tuple(port)
     if not ports or any(p not in _PORT_SIGNALS for p in ports):

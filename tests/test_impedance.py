@@ -38,7 +38,7 @@ from fluidsea.plant import (
     simulate,
     simulate_backdriven,
 )
-from fluidsea.signals import SineMotionSpec
+from fluidsea.signals import SineMotionSpec, SineSpec
 from fluidsea.sysid import FrequencyResponse
 
 from conftest import feedforward, spy_simulate
@@ -213,6 +213,9 @@ class TestMeasureImpedance:
             assert np.array_equal(got.H, want.H)
             assert np.array_equal(got.valid, want.valid)
             assert np.array_equal(got.omegas, want.omegas)
+        # only measure_impedance's own warnings: see TestWorkerProcesses
+        both_warned = [w for w in both_warned if issubclass(w.category, UserWarning)]
+        single_warned = [w for w in single_warned if issubclass(w.category, UserWarning)]
         assert sorted(str(w.message) for w in both_warned) == sorted(
             str(w.message) for w in single_warned
         )
@@ -238,15 +241,31 @@ class TestWorkerProcesses:
     """A sweep in worker processes equals the same sweep in this process.
 
     ``_cpu_count`` is patched to 2 for the pool, so that it runs on a
-    one-CPU host too, and to 1 for the serial run.
+    one-CPU host too, and to 1 for the serial run. A replaced ``simulate``
+    keeps a sweep in this process, so these tests reach into the workers
+    through ``imp.SineSpec``, which each run builds once.
     """
+
+    @staticmethod
+    def _own_warnings(caught):
+        # only measure_impedance's; Python >= 3.12 adds a DeprecationWarning
+        # when a process with threads forks
+        return [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
 
     def test_pool_equals_serial(self, gripper, monkeypatch, tmp_path):
         import fluidsea.impedance as imp
 
         # both points retry, and the endpoint at 20 rad/s never settles
         monkeypatch.setattr(imp, "_DRIFT_TOL", 2.4e-8)
-        calls = spy_simulate(monkeypatch, tmp_path)
+        log = tmp_path / "sine_pids.txt"
+        log.touch()
+
+        def recording_sine(amplitude, omega):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return SineSpec(amplitude, omega)
+
+        monkeypatch.setattr(imp, "SineSpec", recording_sine)
         dob = DOBConfig(lam=20.0, m_n=gripper.m)
         grid = FrequencyGrid(np.array([2.0, 20.0]))
         runs = []
@@ -256,9 +275,9 @@ class TestWorkerProcesses:
                 warnings.simplefilter("always")
                 got = measure_impedance(gripper, dob, grid, port=("endpoint", "motor"))
             assert multiprocessing.active_children() == []
-            runs.append((got, [str(w.message) for w in caught]))
+            runs.append((got, self._own_warnings(caught)))
         (pooled, pooled_warned), (serial, serial_warned) = runs
-        pids = [pid for _, _, pid in calls()]
+        pids = [int(pid) for pid in log.read_text().split()]
         assert len(pids) == 8
         assert os.getpid() not in pids[:4]  # the pool's runs were in workers
         assert pids[4:] == [os.getpid()] * 4
@@ -275,14 +294,13 @@ class TestWorkerProcesses:
 
         grid = FrequencyGrid(np.array([2.0, 5.0, 50.0]))
         bad = snap_omega(5.0, DT)
-        original = imp.simulate
 
-        def failing_simulate(*args, **kwargs):
-            if args[2].omega == bad:
+        def failing_sine(amplitude, omega):
+            if omega == bad:
                 raise ValueError(f"no run at omega = {bad!r}")
-            return original(*args, **kwargs)
+            return SineSpec(amplitude, omega)
 
-        monkeypatch.setattr(imp, "simulate", failing_simulate)
+        monkeypatch.setattr(imp, "SineSpec", failing_sine)
         raised = []
         for cpus in (2, 1):
             monkeypatch.setattr(imp, "_cpu_count", lambda: cpus)
@@ -291,6 +309,17 @@ class TestWorkerProcesses:
             raised.append((type(err.value), str(err.value)))
             assert multiprocessing.active_children() == []
         assert raised == [(ValueError, f"no run at omega = {bad!r}")] * 2
+
+    def test_replaced_simulate_runs_here(self, gripper_linear, monkeypatch, tmp_path):
+        # a tracer or a spy in place of simulate sees every call, on any CPU count
+        import fluidsea.impedance as imp
+
+        monkeypatch.setattr(imp, "_cpu_count", lambda: 2)
+        calls = spy_simulate(monkeypatch, tmp_path)
+        fr = measure_impedance(gripper_linear, None, FrequencyGrid(np.array([2.0, 20.0])), dt=DT)
+        assert fr.valid.all()
+        assert [pid for _, _, pid in calls()] == [os.getpid()] * 2
+        assert multiprocessing.active_children() == []
 
 
 class TestWorkLoop:

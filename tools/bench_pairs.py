@@ -2,8 +2,8 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --pairs zwidth-sweep=10 --pairs chirp-sysid=5 --pairs workloop-presets=5 \\
-        --claim zwidth-sweep:pipeline_s --rusage zwidth-sweep --out BENCH_29.json \\
-        --title "..." --layer "..."
+        --claim zwidth-sweep:pipeline_s --seed 29 --out BENCH_29.json \\
+        --title "..." --layer "..." --note "..."
 
 Each side is a checkout root holding ``bench/run.py`` and ``src/``. A pair
 runs ``bench/run.py --trace 0`` once on each side, back to back; the parent
@@ -16,12 +16,8 @@ Per workload and end-to-end metric the summary gives both sides' values in
 pair order, their medians, the pairs the change wins, the interquartile
 ranges and the change of the median. For the ``--claim`` metric it also
 states whether the change won at least nine pairs in ten and moved the
-median by more than the parent's interquartile range.
-
-``--rusage`` runs the invocations of the named workload once per side in one
-fresh interpreter, outside the benchmark, and records the peak RSS of that
-process (``RUSAGE_SELF``) and of its largest waited-for child
-(``RUSAGE_CHILDREN``), which is where worker processes' memory shows.
+median by more than the parent's interquartile range. Figures measured
+outside the benchmark go into the report as ``--note`` lines.
 """
 
 from __future__ import annotations
@@ -37,24 +33,6 @@ import sys
 import time
 
 METRICS = ("setup_s", "pipeline_s", "peak_rss_mb")
-
-_RUSAGE_SCRIPT = """
-import json, os, resource, sys, tempfile
-import fluidsea.cli
-from workloads import WORKLOADS
-
-workload = WORKLOADS[sys.argv[1]]
-codes = {}
-with tempfile.TemporaryDirectory() as work:
-    cfg = os.path.join(work, "configs")
-    workload.write_configs(cfg, 1)
-    for label, _, _ in workload.invocations:
-        codes[label] = fluidsea.cli.main(workload.argv(label, cfg, os.path.join(work, label)))
-mb = {who: resource.getrusage(getattr(resource, "RUSAGE_" + who)).ru_maxrss * 1024 / 1e6
-      for who in ("SELF", "CHILDREN")}
-print(json.dumps({"exit_codes": codes, "self_mb": mb["SELF"], "children_mb": mb["CHILDREN"]}))
-"""
-
 
 def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``bench/run.py`` run from ``root``; its env and result lines and wall time."""
@@ -118,26 +96,14 @@ def summarize(runs: list[dict], claim: tuple[str, str] | None) -> dict:
     return summary
 
 
-def rusage(root: str, workload: str) -> dict:
-    """Peak RSS of one fresh interpreter running each invocation of ``workload`` once."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(root, "src"), os.path.join(root, "bench")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUSAGE_SCRIPT, workload],
-        cwd=root, env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout root of the parent")
     ap.add_argument("--change", required=True, help="checkout root of the change")
     ap.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
     ap.add_argument("--traced", action="append", default=[], metavar="WORKLOAD")
-    ap.add_argument("--rusage", action="append", default=[], metavar="WORKLOAD")
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC")
-    ap.add_argument("--seed", type=int, default=29)
+    ap.add_argument("--seed", type=int, required=True, help="passed to bench/run.py")
     ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--out", required=True)
     ap.add_argument("--title", default="")
@@ -183,7 +149,6 @@ def main() -> int:
                 if r["workload"] == w and r["trace"] == 1}
             for w in args.traced
         },
-        "rusage": {w: {s: rusage(roots[s], w) for s in roots} for w in args.rusage},
         "runs": runs,
     }
     with open(args.out, "w") as fh:
